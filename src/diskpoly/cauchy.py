@@ -114,7 +114,10 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     Cauchy kernel singularity (the Jacobian cancels it exactly).  The
     sine-squared substitution clusters nodes at the rim so the weight
     factor (1 - |w|^2)^gamma is integrated accurately for fractional
-    gamma.  ``f`` is called one scalar point at a time.
+    gamma.  The whole n_theta x n_r grid is built as one array, and ``f``
+    is called once, on a 1-D complex array of the grid points strictly
+    inside the disk; it must broadcast, returning an array of that shape
+    or a scalar (a constant such as ``lambda w: 1.0`` works).
     """
     if not (math.isfinite(gamma) and gamma > -1):
         raise DomainError(f"weight exponent must be finite and > -1, got {gamma!r}")
@@ -129,22 +132,19 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     wtau = 0.5 * rule.weights
     sin_sq = np.sin(0.5 * np.pi * tau) ** 2
     jac = 0.5 * np.pi * np.sin(np.pi * tau)
-    acc = 0j
     u0 = 1.0 - r2
-    for j in range(n_theta):
-        phi = 2.0 * np.pi * j / n_theta
-        e = complex(math.cos(phi), math.sin(phi))
-        beta = (z.conjugate() * e).real
-        reach = -beta + math.sqrt(beta * beta + u0)
-        ring = 0j
-        for i in range(n_r):
-            s = reach * sin_sq[i]
-            w = z + s * e
-            uw = 1.0 - (w.real * w.real + w.imag * w.imag)
-            if uw <= 0.0:
-                continue
-            ring += wtau[i] * jac[i] * f(w) * uw**gamma
-        acc += reach * ring * e.conjugate()
+    phi = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    e = np.cos(phi) + 1j * np.sin(phi)
+    beta = (z.conjugate() * e).real
+    reach = -beta + np.sqrt(beta * beta + u0)
+    # rows are angles, columns are radial nodes
+    w = z + (reach[:, None] * sin_sq) * e[:, None]
+    uw = 1.0 - (w.real * w.real + w.imag * w.imag)
+    inside = uw > 0.0
+    vals = np.zeros(w.shape, complex)
+    vals[inside] = f(w[inside]) * uw[inside] ** gamma
+    ring = vals @ (wtau * jac)
+    acc = np.sum(reach * ring * e.conjugate())
     return complex(acc * (2.0 * np.pi / n_theta) / np.pi)
 
 

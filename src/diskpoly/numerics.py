@@ -72,8 +72,9 @@ def hyp2f1(a: float, b: float, c: float, x: float,
     and is summed exactly (the offending parameter rounded to that integer);
     otherwise the power series is summed for |x| < 1 to relative tolerance
     ``tol``.  Raises PoleAtCError if c hits a nonpositive integer before the
-    series terminates, NonConvergentError for a non-terminating call with
-    |x| >= 1 or one exceeding ``max_terms``.
+    series terminates, NonConvergentError for a terminating sum whose terms
+    or total overflow, and for a non-terminating call with |x| >= 1 or one
+    exceeding ``max_terms``.
     """
     ka = _nonpos_int(a)
     kb = _nonpos_int(b)
@@ -81,7 +82,13 @@ def hyp2f1(a: float, b: float, c: float, x: float,
         k = min(k for k in (ka, kb) if k is not None)
         aa = float(round(a)) if ka is not None else a
         bb = float(round(b)) if kb is not None else b
-        return math.fsum(_terminating_terms(k, aa, bb, c, x))
+        terms = _terminating_terms(k, aa, bb, c, x)
+        try:
+            if all(map(math.isfinite, terms)):
+                return math.fsum(terms)
+        except OverflowError:  # finite terms whose partial sums overflow
+            pass
+        raise NonConvergentError(f"terminating 2F1 sum overflows at x = {x!r}")
     if abs(x) >= 1.0:
         raise NonConvergentError(f"2F1 series does not converge at |x| = {abs(x)} >= 1")
     acc = 1.0
@@ -247,26 +254,26 @@ def _beta_quad_check(a: float, b: float, x: float) -> float:
     The integrand has branch points at t=0 and t=1, so a single Gauss rule
     is not enough for non-integer parameters.  The first dyadic slice near
     0 is summed by an exact series and the rest is covered by panels graded
-    geometrically toward both ends, each handled by a 32-point rule.
+    geometrically toward both ends, each handled by a 32-point rule; all
+    panels are evaluated together as one (panels x 32) array.
     """
     rule = gauss_legendre(32)
     half = 0.5 * (rule.nodes + 1)
 
     t0 = x * 2.0**-8
-    acc = _beta_series_head(a, b, t0)
+    head = _beta_series_head(a, b, t0)
     # panels graded toward x as well; depth grows as x -> 1 so the last
     # panel stays short relative to its distance from the t=1 branch point
     depth = max(7, int(math.ceil(math.log2(max(x / (1 - x), 1.0)))) + 4)
-    left = [x * 2.0 ** (-8 + j) for j in range(8)]             # t0 .. x/2
-    right = [x - (x / 2) * 2.0 ** (-i) for i in range(1, depth + 1)]
-    pts = left + right + [x]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi <= lo:
-            continue
-        t = lo + (hi - lo) * half
-        vals = t ** (a - 1) * (1 - t) ** (b - 1)
-        acc += (hi - lo) * np.sum(rule.weights * vals) / 2
-    return acc
+    left = x * 2.0 ** np.arange(-8.0, 0.0)                      # t0 .. x/2
+    right = x - (x / 2) * 2.0 ** -np.arange(1.0, depth + 1)
+    pts = np.concatenate((left, right, [x]))
+    lo, hi = pts[:-1], pts[1:]
+    keep = hi > lo
+    lo, width = lo[keep], (hi - lo)[keep]
+    t = lo[:, None] + width[:, None] * half
+    vals = t ** (a - 1) * (1 - t) ** (b - 1)
+    return head + float(width @ (vals @ rule.weights)) / 2
 
 
 def _beta_closed(a: float, b: float, x: float) -> float:

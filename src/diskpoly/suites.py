@@ -13,14 +13,9 @@ Rows whose tolerance equals report.INFORMATIONAL are recorded for the
 record and never gate a run; the suite uses them where two published
 variants of an identity disagree and the point is to document both
 residuals rather than assume either.
-
-Set DISKPOLY_THREADS=k to let suites evaluate row batches on k threads;
-assembly is a sorted reduction, so the output is identical either way.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import add, max_abs_coeff, scale
 from .cauchy import (
@@ -63,22 +58,6 @@ def normalized_deviation(a: complex, b: complex, s_param: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 0.1 * s_param, _TINY)
 
 
-def _threads() -> int:
-    raw = os.environ.get("DISKPOLY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise DomainError(f"DISKPOLY_THREADS must be an integer, got {raw!r}")
-
-
-def _map_tasks(fn, items):
-    k = _threads()
-    if k <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=k) as ex:
-        return list(ex.map(fn, items))
-
-
 def _fmt_gamma(g: float) -> str:
     return format(g, "g")
 
@@ -90,14 +69,12 @@ def suite_routes(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     pts_contour = disk_points(seed + 1, 6, 0.8)
     combos = [(g, m, n) for g in gammas
               for m in range(max_mn + 1) for n in range(max_mn + 1)]
-
-    def one(combo):
-        g, m, n = combo
+    rows = []
+    for g, m, n in combos:
         p = ZernikeParams(m, n, g)
         ref = {z: eval_explicit(p, z) for z in pts + pts_contour}
         s = max(abs(v) for v in ref.values())
         params = f"gamma={_fmt_gamma(g)} m={m} n={n}"
-        rows = []
         for route in ("gauss1", "gauss2", "jacobi", "rodrigues"):
             err = max(normalized_deviation(eval_route(p, z, route), ref[z], s)
                       for z in pts)
@@ -105,9 +82,7 @@ def suite_routes(max_mn: int, gammas, seed: int) -> list[ReportRow]:
         err = max(normalized_deviation(eval_contour_adaptive(p, z), ref[z], s)
                   for z in pts_contour)
         rows.append(checked_row("contour_vs_explicit", params, err, 1e-9))
-        return rows
-
-    return [r for rows in _map_tasks(one, combos) for r in rows]
+    return rows
 
 
 # -------------------------------------------------------- orthogonality
@@ -138,9 +113,8 @@ def suite_contour(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     pts = disk_points(seed + 2, 8, 0.8)
     combos = [(g, m, n) for g in gammas
               for m in range(max_mn + 1) for n in range(max_mn + 1)]
-
-    def one(combo):
-        g, m, n = combo
+    rows = []
+    for g, m, n in combos:
         p = ZernikeParams(m, n, g)
         ref = {z: eval_explicit(p, z) for z in pts}
         s = max(abs(v) for v in ref.values())
@@ -152,10 +126,9 @@ def suite_contour(max_mn: int, gammas, seed: int) -> list[ReportRow]:
             err = INFORMATIONAL
         fixed = max(normalized_deviation(eval_contour(p, z, 512), ref[z], s)
                     for z in pts)
-        return [checked_row("contour_adaptive_vs_explicit", params, err, 1e-10),
-                checked_row("contour_fixed512_vs_explicit", params, fixed, 1e-9)]
-
-    return [r for rows in _map_tasks(one, combos) for r in rows]
+        rows.append(checked_row("contour_adaptive_vs_explicit", params, err, 1e-10))
+        rows.append(checked_row("contour_fixed512_vs_explicit", params, fixed, 1e-9))
+    return rows
 
 
 # ---------------------------------------------------------------- cauchy
@@ -224,19 +197,15 @@ def suite_cauchy(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     # brute-force 2D oracle spot checks
     cases = [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (4, 4), (2, 0), (0, 2),
              (3, 0), (5, 1)]
-
-    def spot(item):
-        i, (m, n) = item
+    for i, (m, n) in enumerate(cases):
         g = gammas[i % len(gammas)]
         z = pts[i % len(pts)]
         p = ZernikeParams(m, n, g)
         a = cauchy_zernike_quad(p, z)
         b = cauchy_direct_2d(lambda w: eval_explicit(p, w), g, z, 96, 192)
         err = abs(a - b) / max(abs(a), abs(b), _TINY)
-        return checked_row("cauchy_direct2d_spotcheck",
-                           f"gamma={_fmt_gamma(g)} m={m} n={n}", err, 1e-6)
-
-    rows.extend(_map_tasks(spot, list(enumerate(cases))))
+        rows.append(checked_row("cauchy_direct2d_spotcheck",
+                                f"gamma={_fmt_gamma(g)} m={m} n={n}", err, 1e-6))
     return rows
 
 
@@ -327,7 +296,6 @@ def run_suite(name: str, max_mn: int = 4, gammas=DEFAULT_GAMMAS,
     """Build the named suite's report (or every suite under "all")."""
     if max_mn < 0 or max_mn > 8:
         raise DomainError(f"max_mn must lie in 0..8, got {max_mn}")
-    _threads()  # reject a malformed DISKPOLY_THREADS before any work runs
     gammas = tuple(float(g) for g in gammas)
     if not gammas:
         raise DomainError("need at least one weight exponent")

@@ -70,9 +70,19 @@ class ZernikeParams:
         object.__setattr__(self, "gamma", float(g))
 
 
-def _check_disk(z: complex, strict: bool = False) -> complex:
-    z = complex(z)
-    r2 = z.real * z.real + z.imag * z.imag
+def _check_disk(z: complex, strict: bool = False,
+                arrays: bool = False) -> complex | np.ndarray:
+    """Coerce z to complex and check it lies in the disk.
+
+    With ``arrays`` set, an ndarray of points of any nonzero rank is
+    coerced to a complex array instead and checked at its largest |z|.
+    """
+    if arrays and isinstance(z, np.ndarray) and z.ndim:
+        z = np.asarray(z, complex)
+        r2 = float((z.real * z.real + z.imag * z.imag).max(initial=0.0))
+    else:
+        z = complex(z)
+        r2 = z.real * z.real + z.imag * z.imag
     if strict:
         if r2 >= 1.0:
             raise DomainError(f"point must lie strictly inside the disk, |z| = {math.sqrt(r2):g}")
@@ -81,14 +91,15 @@ def _check_disk(z: complex, strict: bool = False) -> complex:
     return z
 
 
-def eval_explicit(p: ZernikeParams, z: complex) -> complex:
+def eval_explicit(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
     """Reference route: the finite double-index sum.
 
     Term j carries the integer coefficient C(m,j) C(n,j) j! times a
     Pochhammer factor, which keeps every term well-scaled for indices up
-    to the cap.
+    to the cap.  ``z`` may be a scalar, which gives a Python complex, or
+    an ndarray of points, which gives a complex array of the same shape.
     """
-    z = _check_disk(z)
+    z = _check_disk(z, arrays=True)
     m, n, g = p.m, p.n, p.gamma
     u = 1.0 - (z.real * z.real + z.imag * z.imag)
     zb = z.conjugate()
@@ -119,7 +130,8 @@ def eval_gauss2(p: ZernikeParams, z: complex) -> complex:
     m, n, g = p.m, p.n, p.gamma
     r2 = z.real * z.real + z.imag * z.imag
     f = hyp2f1(-float(m), -float(n), -(g + m + n), 1.0 / r2)
-    pref = pochhammer(g + 1, m + n) ** 2 / (pochhammer(g + 1, m) * pochhammer(g + 1, n))
+    # (g+1)_{m+n}^2 / ((g+1)_m (g+1)_n) without the square, which overflows
+    pref = pochhammer(g + m + 1, n) * pochhammer(g + n + 1, m)
     return pref * z.conjugate() ** m * z**n * f
 
 

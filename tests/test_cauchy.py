@@ -124,6 +124,21 @@ def test_direct_2d_simple():
     assert cauchy_direct_2d(lambda w: 0.0, 0.0, 0.5 + 0j, 16, 32) == 0j
 
 
+def test_direct_2d_calls_f_once():
+    p = ZernikeParams(3, 2, 0.5)
+    seen = []
+
+    def counted(w):
+        seen.append(w.shape)
+        return eval_explicit(p, w)
+
+    v = cauchy_direct_2d(counted, 0.5, Z0, 96, 192)
+    assert len(seen) == 1
+    # every grid point lies strictly inside the disk here
+    assert seen[0] == (96 * 192,)
+    assert abs(v - cauchy_zernike_closed(p, Z0)) <= 1e-9 * abs(v)
+
+
 def test_zernike_index_shift_hand_formula():
     # For (m, n) = (1, 2) the closed form reads
     # u^(g+1) (g+3) ((g+2) - (g+3) u), worked out from the explicit sum.

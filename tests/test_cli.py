@@ -103,17 +103,6 @@ class TestSuites:
         with pytest.raises(DomainError):
             run_suite("routes", gammas=(-2.0,))
 
-    def test_threads_env_matches_serial(self, monkeypatch):
-        serial = serialize(run_suite("routes", max_mn=2, gammas=(0.5,)), "json")
-        monkeypatch.setenv("DISKPOLY_THREADS", "3")
-        threaded = serialize(run_suite("routes", max_mn=2, gammas=(0.5,)), "json")
-        assert serial == threaded
-
-    def test_threads_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("DISKPOLY_THREADS", "many")
-        with pytest.raises(DomainError):
-            run_suite("hermite", max_mn=1)
-
 
 class TestEval:
     def test_single_route(self, capsys):
@@ -167,6 +156,28 @@ class TestEval:
         _, re_s, im_s = line.split(", ")
         ref = eval_explicit(ZernikeParams(2, 1, 0.5), complex(0.3, 0.1))
         assert complex(float(re_s), float(im_s)) == pytest.approx(ref, rel=1e-10)
+
+
+class TestEvalErrorContract:
+    """Commands that once died with an uncaught exception at the index cap.
+
+    An uncaught exception exits 1, the code reserved for failed rows; here
+    it would fail the test.
+    """
+
+    @pytest.mark.parametrize("method, z", [("gauss2", "0.3,0.2"), ("gauss1", "0.001,0")])
+    def test_exit_0_finite_or_exit_3(self, capsys, method, z):
+        rc = main(["eval", "--m", "64", "--n", "64", "--gamma", "0.5",
+                   "--z", z, "--method", method])
+        out, err = capsys.readouterr()
+        if rc == 0:
+            label, re_s, im_s = out.strip().split(", ")
+            assert label == method
+            assert math.isfinite(float(re_s)) and math.isfinite(float(im_s))
+        else:
+            assert rc == 3
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("ERROR 3: ")
 
 
 class TestVerify:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from diskpoly import numerics
 from diskpoly.errors import DomainError, NonConvergentError, PoleAtCError
 from diskpoly.numerics import (
     QuadratureRule,
@@ -70,6 +71,17 @@ class TestHyp2F1:
     def test_nonterminating_outside_radius(self):
         with pytest.raises(NonConvergentError):
             hyp2f1(0.5, 0.5, 1.5, 1.2)
+
+    def test_terminating_overflow_raises(self):
+        # terms of alternating sign overflow to -inf and +inf
+        with pytest.raises(NonConvergentError):
+            hyp2f1(-64.0, -64.0, 1.5, -999999.0)
+        # finite terms C(64,j)^2 x^j whose sum overflows: the last two are
+        # 1.75e308 and 1.1e307
+        x = math.exp(math.log(1.75e308) / 64)
+        assert all(map(math.isfinite, _terminating_terms(64, -64.0, -64.0, 1.0, x)))
+        with pytest.raises(NonConvergentError):
+            hyp2f1(-64.0, -64.0, 1.0, x)
 
     def test_pole_at_c_reached(self):
         with pytest.raises(PoleAtCError):
@@ -175,6 +187,26 @@ class TestIncompleteBeta:
                 dt = x * 4 * ((xs + 1) / 2) ** 3 / 2
                 ref = float(np.sum(ws * dt * t ** (a - 1) * (1 - t) ** (b - 1)))
                 assert got == pytest.approx(ref, rel=1e-9)
+
+    def test_quadrature_check_matches_scipy(self):
+        # the panel-array quadrature on its own, against scipy's betainc
+        for (a, b, x) in [(2.0, 1.5, 0.3), (0.3, 0.7, 0.9), (4.5, 0.25, 0.97),
+                          (1.0, 3.0, 0.999)]:
+            want = special.betainc(a, b, x) * special.beta(a, b)
+            assert numerics._beta_quad_check(a, b, x) == pytest.approx(want, rel=1e-11)
+
+    def test_self_check_is_live(self, monkeypatch):
+        # a closed form off by 1e-8 relative must trip the 1e-10 check on
+        # both the direct branch and the complement split (x > 1/2)
+        cases = [(2.0, 1.5, 0.3), (0.3, 0.7, 0.9), (4.5, 0.25, 0.7)]
+        for a, b, x in cases:
+            incomplete_beta(a, b, x)
+        closed = numerics._beta_closed
+        monkeypatch.setattr(numerics, "_beta_closed",
+                            lambda a, b, x: closed(a, b, x) * (1.0 + 1e-8))
+        for a, b, x in cases:
+            with pytest.raises(NonConvergentError):
+                incomplete_beta(a, b, x)
 
     def test_domain_guards(self):
         with pytest.raises(DomainError):

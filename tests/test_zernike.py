@@ -10,6 +10,7 @@ from diskpoly import algebra
 from diskpoly.errors import DomainError, NonConvergentError, ParamMismatchError
 from diskpoly.numerics import pochhammer
 from diskpoly.sampling import disk_points
+from diskpoly.suites import normalized_deviation
 from diskpoly.zernike import (
     ROUTES,
     ZernikeParams,
@@ -148,6 +149,46 @@ class TestRouteAgreement:
             eval_route(ZernikeParams(1, 1, 0.0), 0.5, "magic")
 
 
+class TestArrayInput:
+    """eval_explicit on ndarrays of points: same numbers, same domain check."""
+
+    CASES = [(0, 0, 0.0), (1, 2, -0.5), (3, 3, 0.5), (8, 5, 2.5), (2, 7, 1.0)]
+
+    def test_arrays_match_scalar_calls(self):
+        pts = np.array(disk_points(8101, 24, 1.0))
+        for m, n, g in self.CASES:
+            p = ZernikeParams(m, n, g)
+            want = np.array([eval_explicit(p, complex(z)) for z in pts])
+            s = float(np.max(np.abs(want)))
+            for shape in ((24,), (4, 6)):
+                got = eval_explicit(p, pts.reshape(shape))
+                assert isinstance(got, np.ndarray) and got.shape == shape
+                err = max(normalized_deviation(a, b, s)
+                          for a, b in zip(got.ravel(), want))
+                assert err < 1e-12, (m, n, g, shape, err)
+
+    def test_scalar_input_gives_python_complex(self):
+        p = ZernikeParams(3, 2, 0.5)
+        for z in (0.3 - 0.2j, 0.4, np.complex128(0.3 - 0.2j), np.array(0.3 - 0.2j)):
+            assert type(eval_explicit(p, z)) is complex
+        assert eval_explicit(p, np.array(0.3 - 0.2j)) == eval_explicit(p, 0.3 - 0.2j)
+
+    def test_real_and_boundary_arrays(self):
+        p = ZernikeParams(2, 1, 0.5)
+        got = eval_explicit(p, np.array([0.5, -1.0, 1.0]))
+        assert got.dtype == complex
+        assert got[0] == eval_explicit(p, 0.5)
+        assert np.allclose(np.abs(got[1:]), pochhammer(1.5, 3), rtol=1e-12)
+
+    def test_any_point_outside_rejected(self):
+        p = ZernikeParams(1, 1, 0.0)
+        pts = np.array([0.1 + 0.2j, 0.5j, 0.9 - 0.5j, 0.0])
+        with pytest.raises(DomainError):
+            eval_explicit(p, pts)
+        with pytest.raises(DomainError):
+            eval_explicit(p, pts.reshape(2, 2))
+
+
 class TestRodriguesExpr:
     def test_matches_explicit_expression(self):
         for m in range(5):
@@ -251,10 +292,7 @@ class TestInnerProducts:
         rs = (np.arange(nr) + 0.5) / nr
         th = 2 * np.pi * np.arange(nth) / nth
         zg = rs[:, None] * np.exp(1j * th[None, :])
-        vals = np.empty_like(zg)
-        for i in range(nr):
-            for j in range(nth):
-                vals[i, j] = eval_explicit(p, complex(zg[i, j]))
+        vals = eval_explicit(p, zg)
         w = (1 - rs**2) ** 0.0 * rs
         approx = np.sum(np.abs(vals) ** 2 * w[:, None]) * (1.0 / nr) * (2 * np.pi / nth)
         assert norm_squared(p) == pytest.approx(float(approx), rel=1e-3)
