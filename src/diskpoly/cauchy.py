@@ -11,14 +11,13 @@ result with u^(gamma+1).  Every route here is checked against the others
 in the test suite, with a brute-force 2D oracle as the final arbiter.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonConvergentError, NZeroError
 from .numerics import gauss_legendre, hyp2f1, incomplete_beta
-from .zernike import ZernikeParams, eval_explicit, monomial_coeffs
+from .zernike import ZernikeParams, _check_disk, _check_weight, eval_explicit, monomial_coeffs
 
 __all__ = [
     "cauchy_monomial_closed",
@@ -35,8 +34,7 @@ __all__ = [
 def _check_monomial(p: int, q: int, k: int, gamma: float):
     if not all(isinstance(v, int) and v >= 0 for v in (p, q, k)):
         raise DomainError(f"monomial exponents must be nonnegative integers, got ({p}, {q}, {k})")
-    if not (math.isfinite(gamma) and gamma > -1):
-        raise DomainError(f"weight exponent must be finite and > -1, got {gamma!r}")
+    _check_weight(gamma)
 
 
 def cauchy_monomial_closed(p: int, q: int, k: int, gamma: float, z: complex) -> complex:
@@ -48,10 +46,8 @@ def cauchy_monomial_closed(p: int, q: int, k: int, gamma: float, z: complex) -> 
     chi - 1 vanishes, and zero otherwise.
     """
     _check_monomial(p, q, k, gamma)
-    z = complex(z)
+    z = _check_disk(z, strict=True)
     r2 = z.real * z.real + z.imag * z.imag
-    if r2 >= 1.0:
-        raise DomainError(f"transform point must lie inside the disk, |z| = {math.sqrt(r2):g}")
     chi = q - p
     if z == 0:
         if chi == 1:
@@ -88,11 +84,8 @@ def cauchy_zernike_closed(p: ZernikeParams, z: complex) -> complex:
     if p.n == 0:
         raise NZeroError(
             f"no closed polynomial form at n = 0 (indices ({p.m}, {p.n}))")
-    z = complex(z)
-    r2 = z.real * z.real + z.imag * z.imag
-    if r2 > 1.0 + 1e-12:
-        raise DomainError(f"transform point must lie in the closed disk, |z| = {math.sqrt(r2):g}")
-    u = max(1.0 - r2, 0.0)
+    z = _check_disk(z)
+    u = max(1.0 - (z.real * z.real + z.imag * z.imag), 0.0)
     shifted = ZernikeParams(p.m, p.n - 1, p.gamma + 1.0)
     return u ** (p.gamma + 1.0) * eval_explicit(shifted, z)
 
@@ -119,12 +112,8 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     inside the disk; it must broadcast, returning an array of that shape
     or a scalar (a constant such as ``lambda w: 1.0`` works).
     """
-    if not (math.isfinite(gamma) and gamma > -1):
-        raise DomainError(f"weight exponent must be finite and > -1, got {gamma!r}")
-    z = complex(z)
-    r2 = z.real * z.real + z.imag * z.imag
-    if r2 >= 1.0:
-        raise DomainError("transform point must lie inside the disk")
+    _check_weight(gamma)
+    z = _check_disk(z, strict=True)
     if n_r < 4 or n_theta < 8:
         raise DomainError("rule is too small to mean anything")
     rule = gauss_legendre(n_r)
@@ -132,7 +121,7 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     wtau = 0.5 * rule.weights
     sin_sq = np.sin(0.5 * np.pi * tau) ** 2
     jac = 0.5 * np.pi * np.sin(np.pi * tau)
-    u0 = 1.0 - r2
+    u0 = 1.0 - (z.real * z.real + z.imag * z.imag)
     phi = 2.0 * np.pi * np.arange(n_theta) / n_theta
     e = np.cos(phi) + 1j * np.sin(phi)
     beta = (z.conjugate() * e).real

@@ -14,7 +14,7 @@ import sys
 
 from .cauchy import CauchyInput, cauchy_transform, cauchy_zernike_closed, cauchy_zernike_quad
 from .errors import DiskPolyError
-from .report import serialize
+from .report import _f17, serialize
 from .suites import DEFAULT_GAMMAS, DEFAULT_SEED, SUITE_NAMES, run_suite
 from .zernike import ROUTES, ZernikeParams, eval_explicit, eval_route
 
@@ -63,10 +63,6 @@ def _parse_range(text: str, flag: str) -> list[int]:
 
 def _value_line(label: str, v: complex) -> str:
     return f"{label}, {v.real!r}, {v.imag!r}"
-
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ------------------------------------------------------------------ eval

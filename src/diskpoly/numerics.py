@@ -10,6 +10,7 @@ silently share code with the oracles used to test them.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -33,10 +34,14 @@ _INT_TOL = 1e-9
 
 
 def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1.
+
+    Exact for a Fraction ``a``; a float for every other input.
+    """
     if k < 0:
         raise DomainError(f"pochhammer needs k >= 0, got {k}")
-    r = 1.0
+    # type(), not isinstance(): the ABC check is slower on this hot path
+    r = Fraction(1) if type(a) is Fraction else 1.0
     for i in range(k):
         r *= a + i
     return r
@@ -173,7 +178,7 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p1, dp
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def gauss_legendre(n: int) -> QuadratureRule:
     """Gauss-Legendre rule on (-1, 1), exact for polynomials of degree 2n-1.
 
@@ -197,7 +202,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     return QuadratureRule(x[order], w[order], "interval", (-1.0, 1.0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def gauss_jacobi_radial(n: int, gamma: float) -> QuadratureRule:
     """Gauss rule on (0, 1) for the weight (1 - t)^gamma dt, gamma > -1.
 

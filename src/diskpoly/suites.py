@@ -36,6 +36,7 @@ from .spectral import (
 )
 from .zernike import (
     ZernikeParams,
+    _check_weight,
     eval_contour,
     eval_contour_adaptive,
     eval_explicit,
@@ -300,8 +301,7 @@ def run_suite(name: str, max_mn: int = 4, gammas=DEFAULT_GAMMAS,
     if not gammas:
         raise DomainError("need at least one weight exponent")
     for g in gammas:
-        if not (math.isfinite(g) and g > -1):
-            raise DomainError(f"weight exponents must be finite and > -1, got {g}")
+        _check_weight(g)
     if name == "all":
         rows = []
         for key in sorted(SUITES):

@@ -13,11 +13,17 @@ in z and conj(z) of bidegree (n, m).  The routes implemented:
 
 They share no intermediate code beyond the Pochhammer symbol, so mutual
 agreement is strong evidence that each is implemented correctly.
+
+The explicit route, ``explicit_expr``, ``monomial_coeffs``,
+``inner_product`` and ``hermite`` read the coefficients of the explicit
+sum from one kernel, cached per (m, n, gamma); none of the other five
+routes uses it.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -65,9 +71,16 @@ class ZernikeParams:
         if not (0 <= self.m <= INDEX_CAP and 0 <= self.n <= INDEX_CAP):
             raise DomainError(f"indices must lie in [0, {INDEX_CAP}], got ({self.m}, {self.n})")
         g = self.gamma
-        if not (isinstance(g, (int, float)) and math.isfinite(g) and g > -1):
-            raise DomainError(f"weight exponent must be finite and > -1, got {g!r}")
+        if not isinstance(g, (int, float)):
+            raise DomainError(f"weight exponent must be a real number, got {g!r}")
+        _check_weight(g)
         object.__setattr__(self, "gamma", float(g))
+
+
+def _check_weight(g: float):
+    """Raise DomainError unless the weight exponent is finite and > -1."""
+    if not (math.isfinite(g) and g > -1):
+        raise DomainError(f"weight exponent must be finite and > -1, got {g!r}")
 
 
 def _check_disk(z: complex, strict: bool = False,
@@ -91,6 +104,26 @@ def _check_disk(z: complex, strict: bool = False,
     return z
 
 
+def _signed_counts(m: int, n: int):
+    """Yield (j, (-1)^j C(m,j) C(n,j) j!) for j = 0..min(m, n)."""
+    for j in range(min(m, n) + 1):
+        yield j, (-1) ** j * comb(m, j) * comb(n, j) * factorial(j)
+
+
+# typed: 0.5 and Fraction(1, 2) are equal keys, and the exact inner
+# product must never be served the float entry
+@lru_cache(maxsize=256, typed=True)
+def _explicit_terms(m: int, n: int, g) -> tuple:
+    """Terms (z-power, zbar-power, u-power, coefficient) of the explicit sum.
+
+    Term j has coefficient (-1)^j C(m,j) C(n,j) j! (g+j+1)_{m+n-j} on
+    z^(n-j) conj(z)^(m-j) u^j; exact when ``g`` is a Fraction, float
+    otherwise.
+    """
+    return tuple((n - j, m - j, j, c * pochhammer(g + j + 1, m + n - j))
+                 for j, c in _signed_counts(m, n))
+
+
 def eval_explicit(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
     """Reference route: the finite double-index sum.
 
@@ -100,14 +133,11 @@ def eval_explicit(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.nda
     an ndarray of points, which gives a complex array of the same shape.
     """
     z = _check_disk(z, arrays=True)
-    m, n, g = p.m, p.n, p.gamma
     u = 1.0 - (z.real * z.real + z.imag * z.imag)
     zb = z.conjugate()
     acc = 0j
-    for j in range(min(m, n) + 1):
-        ci = (-1) ** j * comb(m, j) * comb(n, j) * factorial(j)
-        c = float(ci) * pochhammer(g + j + 1, m + n - j)
-        acc += c * u**j * zb ** (m - j) * z ** (n - j)
+    for a, b, j, c in _explicit_terms(p.m, p.n, p.gamma):
+        acc += c * u**j * zb**b * z**a
     return acc
 
 
@@ -151,9 +181,7 @@ def eval_jacobi(p: ZernikeParams, z: complex) -> complex:
     return pref * ang * jacobi_p(s, abs(m - n), g, 1.0 - 2.0 * r2)
 
 
-_RODRIGUES_CACHE: dict[tuple[int, int, float], DiskExpr] = {}
-
-
+@lru_cache(maxsize=1024)
 def rodrigues_expr(p: ZernikeParams) -> DiskExpr:
     """Exact expression (-1)^(m+n) u^(-gamma) d_z^m d_zbar^n u^(gamma+m+n).
 
@@ -161,29 +189,18 @@ def rodrigues_expr(p: ZernikeParams) -> DiskExpr:
     u-powers, equal coefficient-by-coefficient to the explicit sum up to
     float rounding.
     """
-    key = (p.m, p.n, p.gamma)
-    hit = _RODRIGUES_CACHE.get(key)
-    if hit is not None:
-        return hit
     e = DiskExpr.u_power(p.gamma + p.m + p.n)
     for _ in range(p.n):
         e = algebra.d_zbar(e)
     for _ in range(p.m):
         e = algebra.d_z(e)
     e = algebra.scale(e, float((-1) ** (p.m + p.n)))
-    e = algebra.mul(e, DiskExpr.u_power(-p.gamma))
-    _RODRIGUES_CACHE[key] = e
-    return e
+    return algebra.mul(e, DiskExpr.u_power(-p.gamma))
 
 
 def explicit_expr(p: ZernikeParams) -> DiskExpr:
     """The explicit sum as an exact expression (canonical form)."""
-    m, n, g = p.m, p.n, p.gamma
-    raw = {}
-    for j in range(min(m, n) + 1):
-        ci = (-1) ** j * comb(m, j) * comb(n, j) * factorial(j)
-        raw[(n - j, m - j, j)] = float(ci) * pochhammer(g + j + 1, m + n - j)
-    return DiskExpr(raw)
+    return DiskExpr({(a, b, j): c for a, b, j, c in _explicit_terms(p.m, p.n, p.gamma)})
 
 
 def eval_rodrigues(p: ZernikeParams, z: complex) -> complex:
@@ -272,13 +289,10 @@ def value_at_origin(p: ZernikeParams) -> float:
 def monomial_coeffs(p: ZernikeParams) -> dict[tuple[int, int], float]:
     """Coefficients on z^a conj(z)^b; bidegree (n, m), every key on the
     charge line a - b = n - m."""
-    m, n, g = p.m, p.n, p.gamma
     out: dict[tuple[int, int], float] = {}
-    for j in range(min(m, n) + 1):
-        tj = float((-1) ** j * comb(m, j) * comb(n, j) * factorial(j)) \
-            * pochhammer(g + j + 1, m + n - j)
+    for a, b, j, tj in _explicit_terms(p.m, p.n, p.gamma):
         for i in range(j + 1):
-            key = (n - j + i, m - j + i)
+            key = (a + i, b + i)
             c = out.get(key, 0.0) + tj * comb(j, i) * (-1) ** i
             out[key] = c
     return {key: c for key, c in out.items() if c != 0.0}
@@ -322,26 +336,13 @@ def inner_product(p1: ZernikeParams, p2: ZernikeParams,
         return math.pi * math.fsum(radial[d] * moments[d] for d in radial)
 
     g = Fraction(p1.gamma)
-
-    def exact_terms(p: ZernikeParams):
-        for j in range(min(p.m, p.n) + 1):
-            c = (-1) ** j * comb(p.m, j) * comb(p.n, j) * factorial(j)
-            poch = Fraction(1)
-            for i in range(p.m + p.n - j):
-                poch *= g + (j + 1 + i)
-            # (z-power, zbar-power, u-power, exact coefficient)
-            yield p.n - j, p.m - j, j, c * poch
-
     total = Fraction(0)
-    for a1, b1, j1, v1 in exact_terms(p1):
-        for a2, b2, j2, v2 in exact_terms(p2):
+    for a1, b1, j1, v1 in _explicit_terms(p1.m, p1.n, g):
+        for a2, b2, j2, v2 in _explicit_terms(p2.m, p2.n, g):
             # <z^a1 zb^b1 u^j1, z^a2 zb^b2 u^j2> = pi B(D+1, gamma+J+1)
             # on the shared charge line, with t = r^2
             d = (a1 + b1 + a2 + b2) // 2
-            beta = Fraction(factorial(d))
-            for i in range(d + 1):
-                beta /= g + (j1 + j2 + 1 + i)
-            total += v1 * v2 * beta
+            total += v1 * v2 * factorial(d) / pochhammer(g + j1 + j2 + 1, d + 1)
     return math.pi * float(total)
 
 
@@ -356,9 +357,8 @@ def hermite(m: int, n: int, z: complex) -> complex:
     z = complex(z)
     zb = z.conjugate()
     acc = 0j
-    for j in range(min(m, n) + 1):
-        ci = (-1) ** j * comb(m, j) * comb(n, j) * factorial(j)
-        acc += float(ci) * zb ** (m - j) * z ** (n - j)
+    for j, c in _signed_counts(m, n):
+        acc += float(c) * zb ** (m - j) * z ** (n - j)
     return acc
 
 

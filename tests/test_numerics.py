@@ -6,6 +6,7 @@ oracle recipe is noted next to each value.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ class TestPochhammer:
     def test_negative_k_rejected(self):
         with pytest.raises(DomainError):
             pochhammer(1.0, -1)
+
+    def test_exact_for_fraction(self):
+        v = pochhammer(Fraction(3, 2), 3)
+        assert type(v) is Fraction and v == Fraction(105, 8)
+        assert type(pochhammer(3.7, 0)) is float
 
 
 class TestHyp2F1:

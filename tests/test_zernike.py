@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from diskpoly.suites import normalized_deviation
 from diskpoly.zernike import (
     ROUTES,
     ZernikeParams,
+    _explicit_terms,
     eval_contour,
     eval_contour_adaptive,
     eval_explicit,
@@ -100,6 +102,52 @@ class TestKnownValues:
             a = eval_explicit(ZernikeParams(m, n, 0.5), z)
             b = eval_explicit(ZernikeParams(n, m, 0.5), z)
             assert a == pytest.approx(b.conjugate(), rel=1e-13)
+
+
+class TestExplicitKernel:
+    def test_matches_high_precision_sum(self):
+        # the same double sum, summed at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        points = (0.3 - 0.4j, 0.9 + 0.1j, 0.05j, -0.7 + 0.6j)
+        with mpmath.workdps(50):
+            for m, n in ((8, 8), (12, 12), (12, 5)):
+                for g in (-0.5, 0.5, 2.5):
+                    p = ZernikeParams(m, n, g)
+                    for z in points:
+                        w = mpmath.mpc(z)
+                        u = 1 - mpmath.mpf(z.real) ** 2 - mpmath.mpf(z.imag) ** 2
+                        ref = mpmath.fsum(
+                            (-1) ** j * math.comb(m, j) * math.comb(n, j) * math.factorial(j)
+                            * mpmath.rf(g + j + 1, m + n - j)
+                            * u**j * mpmath.conj(w) ** (m - j) * w ** (n - j)
+                            for j in range(min(m, n) + 1))
+                        got = eval_explicit(p, z)
+                        rel = abs(got - complex(ref)) / abs(complex(ref))
+                        assert rel <= 1e-11, (m, n, g, z, rel)
+
+    def test_norm_closed_form(self):
+        # ||P||^2 = pi m! n! (g+1)_{m+n}^2 / ((g+m+n+1) (g+1)_m (g+1)_n)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for g in (-0.5, 0.0, 1 / 3, 2.5):
+                gm = mpmath.mpf(g)
+                for m in range(7):
+                    for n in range(7):
+                        ref = (mpmath.pi * math.factorial(m) * math.factorial(n)
+                               * mpmath.rf(gm + 1, m + n) ** 2
+                               / ((gm + m + n + 1) * mpmath.rf(gm + 1, m) * mpmath.rf(gm + 1, n)))
+                        got = norm_squared(ZernikeParams(m, n, g))
+                        assert got == pytest.approx(float(ref), rel=1e-13), (m, n, g)
+
+    def test_cache_keeps_exact_and_float_apart(self):
+        # 0.5 == Fraction(1, 2) with equal hashes: an untyped cache would
+        # hand the float terms to the exact inner product
+        _explicit_terms.cache_clear()
+        floats = _explicit_terms(3, 3, 0.5)
+        exact = _explicit_terms(3, 3, Fraction(1, 2))
+        assert all(type(c) is float for *_, c in floats)
+        assert all(type(c) is Fraction for *_, c in exact)
+        assert [float(c) for *_, c in exact] == [c for *_, c in floats]
 
 
 class TestRouteAgreement:
