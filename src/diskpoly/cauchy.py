@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergentError, NZeroError
-from .numerics import gauss_legendre, hyp2f1, incomplete_beta
-from .zernike import ZernikeParams, _check_disk, _check_weight, eval_explicit, monomial_coeffs
+from .numerics import _check_weight, gauss_legendre, hyp2f1, incomplete_beta
+from .zernike import ZernikeParams, _check_disk, eval_explicit, monomial_coeffs
 
 __all__ = [
     "cauchy_monomial_closed",

@@ -107,26 +107,16 @@ def cmd_verify(ns) -> int:
 
 # ----------------------------------------------------------------- table
 
-def _table_rows(ns, m_vals, n_vals, gammas, radii, thetas):
-    rows = []
-    for m in m_vals:
-        for n in n_vals:
-            for g in gammas:
-                p = ZernikeParams(m, n, g)
-                for r in radii:
-                    for j in range(len(thetas)):
-                        t = thetas[j]
-                        z = complex(r * math.cos(t), r * math.sin(t))
-                        v = eval_explicit(p, z)
-                        row = [m, n, g, z.real, z.imag, v.real, v.imag]
-                        if ns.with_cauchy:
-                            if n >= 1:
-                                c = cauchy_zernike_closed(p, z)
-                            else:
-                                c = cauchy_zernike_quad(p, z)
-                            row.extend([c.real, c.imag])
-                        rows.append(row)
-    return rows
+def _table_rows(ns, params, points):
+    """Yield the finished cells of each table row, one row at a time."""
+    for p in params:
+        for z in points:
+            v = eval_explicit(p, z)
+            row = [p.gamma, z.real, z.imag, v.real, v.imag]
+            if ns.with_cauchy:
+                c = cauchy_zernike_closed(p, z) if p.n >= 1 else cauchy_zernike_quad(p, z)
+                row.extend([c.real, c.imag])
+            yield [str(p.m), str(p.n)] + [_f17(x) for x in row]
 
 
 def cmd_table(ns) -> int:
@@ -143,26 +133,27 @@ def cmd_table(ns) -> int:
     if ns.with_cauchy and ns.include_boundary and any(n == 0 for n in n_vals):
         _flag_error("transform of the n=0 column is undefined on the boundary ring")
     thetas = [2.0 * math.pi * j / ns.theta_steps for j in range(ns.theta_steps)]
+    points = [complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in thetas]
+    params = [ZernikeParams(m, n, g) for m in m_vals for n in n_vals for g in gammas]
     header = ["m", "n", "gamma", "re_z", "im_z", "re_val", "im_val"]
     if ns.with_cauchy:
         header.extend(["re_cauchy", "im_cauchy"])
-    rows = _table_rows(ns, m_vals, n_vals, gammas, radii, thetas)
+    rows = _table_rows(ns, params, points)
     path = ns.out if ns.out else f"table.{ns.format}"
     with open(path, "w", newline="") as fh:
         if ns.format == "csv":
             w = csv.writer(fh)
             w.writerow(header)
-            for row in rows:
-                w.writerow([row[0], row[1]] + [_f17(x) for x in row[2:]])
+            w.writerows(rows)
         else:
             fh.write('{\n  "header": [%s],\n  "rows": [\n'
                      % ", ".join(f'"{h}"' for h in header))
-            for i, row in enumerate(rows):
-                cells = [str(row[0]), str(row[1])] + [_f17(x) for x in row[2:]]
-                tail = "," if i + 1 < len(rows) else ""
-                fh.write("    [%s]%s\n" % (", ".join(cells), tail))
-            fh.write("  ]\n}\n")
-    print(f"wrote {len(rows)} rows -> {path}")
+            sep = ""
+            for cells in rows:
+                fh.write("%s    [%s]" % (sep, ", ".join(cells)))
+                sep = ",\n"
+            fh.write("\n  ]\n}\n" if sep else "  ]\n}\n")
+    print(f"wrote {len(params) * len(points)} rows -> {path}")
     return 0
 
 

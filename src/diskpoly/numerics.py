@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, NonConvergentError, PoleAtCError
 
@@ -45,6 +44,12 @@ def pochhammer(a: float, k: int) -> float:
     for i in range(k):
         r *= a + i
     return r
+
+
+def _check_weight(g: float):
+    """Raise DomainError unless the weight exponent is finite and > -1."""
+    if not (math.isfinite(g) and g > -1):
+        raise DomainError(f"weight exponent must be finite and > -1, got {g!r}")
 
 
 def _nonpos_int(v: float) -> int | None:
@@ -207,14 +212,13 @@ def gauss_jacobi_radial(n: int, gamma: float) -> QuadratureRule:
     """Gauss rule on (0, 1) for the weight (1 - t)^gamma dt, gamma > -1.
 
     Built by the Golub-Welsch method: the symmetric tridiagonal matrix of
-    the monic Jacobi (alpha=gamma, beta=0) recurrence is diagonalized and
-    the rule is mapped from (-1, 1) onto (0, 1).  Total weight is the
-    exact moment 1/(gamma + 1).
+    the monic Jacobi (alpha=gamma, beta=0) recurrence is diagonalized by
+    ``numpy.linalg.eigh`` and the rule is mapped from (-1, 1) onto (0, 1).
+    Total weight is the exact moment 1/(gamma + 1).
     """
     if n < 1:
         raise DomainError(f"gauss_jacobi_radial needs n >= 1, got {n}")
-    if gamma <= -1:
-        raise DomainError(f"weight exponent must exceed -1, got {gamma}")
+    _check_weight(gamma)
     g = float(gamma)
     diag = np.empty(n)
     diag[0] = -g / (g + 2)
@@ -222,7 +226,8 @@ def gauss_jacobi_radial(n: int, gamma: float) -> QuadratureRule:
     if n > 1:
         diag[1:] = -(g * g) / ((2 * k + g) * (2 * k + g + 2))
     off = np.sqrt(4 * k**2 * (k + g) ** 2 / ((2 * k + g) ** 2 * ((2 * k + g) ** 2 - 1)))
-    x, v = eigh_tridiagonal(diag, off)
+    # eigh reads only the lower triangle
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
     # moment of (1-x)^g on (-1,1) is 2^(g+1)/(g+1); the map t=(x+1)/2
     # contributes 2^(-g-1), leaving total mass 1/(g+1)
     w = v[0, :] ** 2 / (g + 1)

@@ -26,6 +26,7 @@ from .cauchy import (
     cauchy_zernike_quad,
 )
 from .errors import DomainError, NonConvergentError
+from .numerics import _check_weight
 from .report import INFORMATIONAL, ReportRow, VerifyReport, checked_row, make_report
 from .sampling import Lcg64, disk_points
 from .spectral import (
@@ -36,7 +37,6 @@ from .spectral import (
 )
 from .zernike import (
     ZernikeParams,
-    _check_weight,
     eval_contour,
     eval_contour_adaptive,
     eval_explicit,

@@ -21,6 +21,7 @@ routes uses it.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +32,7 @@ import numpy as np
 from . import algebra
 from .algebra import DiskExpr
 from .errors import DomainError, NonConvergentError, ParamMismatchError
-from .numerics import gauss_jacobi_radial, hyp2f1, jacobi_p, pochhammer
+from .numerics import _check_weight, gauss_jacobi_radial, hyp2f1, jacobi_p, pochhammer
 
 __all__ = [
     "ZernikeParams",
@@ -66,10 +67,7 @@ class ZernikeParams:
     gamma: float
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
-            raise DomainError("indices must be integers")
-        if not (0 <= self.m <= INDEX_CAP and 0 <= self.n <= INDEX_CAP):
-            raise DomainError(f"indices must lie in [0, {INDEX_CAP}], got ({self.m}, {self.n})")
+        _check_indices(self.m, self.n)
         g = self.gamma
         if not isinstance(g, (int, float)):
             raise DomainError(f"weight exponent must be a real number, got {g!r}")
@@ -77,10 +75,12 @@ class ZernikeParams:
         object.__setattr__(self, "gamma", float(g))
 
 
-def _check_weight(g: float):
-    """Raise DomainError unless the weight exponent is finite and > -1."""
-    if not (math.isfinite(g) and g > -1):
-        raise DomainError(f"weight exponent must be finite and > -1, got {g!r}")
+def _check_indices(m: int, n: int):
+    """Raise DomainError unless m and n are ints in [0, INDEX_CAP]."""
+    if not (isinstance(m, int) and isinstance(n, int)):
+        raise DomainError("indices must be integers")
+    if not (0 <= m <= INDEX_CAP and 0 <= n <= INDEX_CAP):
+        raise DomainError(f"indices must lie in [0, {INDEX_CAP}], got ({m}, {n})")
 
 
 def _check_disk(z: complex, strict: bool = False,
@@ -352,8 +352,11 @@ def norm_squared(p: ZernikeParams) -> float:
 
 def hermite(m: int, n: int, z: complex) -> complex:
     """Complex Hermite polynomial with the same double-sum shape."""
-    if not (0 <= m <= INDEX_CAP and 0 <= n <= INDEX_CAP):
-        raise DomainError(f"indices must lie in [0, {INDEX_CAP}], got ({m}, {n})")
+    try:
+        m, n = operator.index(m), operator.index(n)
+    except TypeError:
+        raise DomainError("indices must be integers") from None
+    _check_indices(m, n)
     z = complex(z)
     zb = z.conjugate()
     acc = 0j

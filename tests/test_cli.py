@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from diskpoly import DomainError, ZernikeParams, eval_explicit, pochhammer
+from diskpoly import DomainError, NonConvergentError, ZernikeParams, cli, eval_explicit, pochhammer
 from diskpoly.cli import main
 from diskpoly.report import (
     INFORMATIONAL,
@@ -259,6 +259,47 @@ class TestTable:
         assert main(["table", "--m", "2:1", "--n", "0", "--out", str(out)]) == 0
         rows = list(csv.reader(out.open()))
         assert rows == [["m", "n", "gamma", "re_z", "im_z", "re_val", "im_val"]]
+
+    def test_empty_range_json(self, capsys, tmp_path):
+        out = tmp_path / "t.json"
+        assert main(["table", "--m", "2:1", "--n", "0", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rows"] == []
+
+    def test_bad_gamma_exit_3_no_file(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["table", "--m", "1", "--n", "1", "--gammas=0,-1",
+                     "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR 3: ")
+        assert not out.exists()
+
+    def test_error_part_way_exit_3(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "t.csv"
+        calls = []
+
+        def flaky(p, z):
+            calls.append(z)
+            if len(calls) == 3:
+                raise NonConvergentError("injected")
+            return eval_explicit(p, z)
+
+        monkeypatch.setattr(cli, "eval_explicit", flaky)
+        assert main(["table", "--m", "1", "--n", "1", "--out", str(out)]) == 3
+        assert len(calls) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR 3: ")
+        assert set(tmp_path.iterdir()) <= {out}
+
+    def test_out_symlink_written_through(self, capsys, tmp_path):
+        target = tmp_path / "target.csv"
+        link = tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["table", "--m", "1", "--n", "1", "--r-steps", "1",
+                     "--theta-steps", "2", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert len(list(csv.reader(target.open()))) == 3
 
     def test_cauchy_columns(self, capsys, tmp_path):
         out = tmp_path / "t.csv"

@@ -6,7 +6,11 @@ oracle recipe is noted next to each value.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,11 +283,41 @@ class TestGaussJacobiRadial:
         assert np.max(np.abs(rule.nodes - (x + 1) / 2)) < 1e-13
         assert np.max(np.abs(rule.weights - w * 2.0 ** (-gamma - 1))) < 1e-14
 
+    @pytest.mark.parametrize("n", [12, 24])
+    @pytest.mark.parametrize("gamma", [-0.99, -0.5, 30.0, 200.0])
+    def test_matches_scipy_rule_extreme_weights(self, n, gamma):
+        rule = gauss_jacobi_radial(n, gamma)
+        x, w = special.roots_jacobi(n, gamma, 0.0)
+        w = w * 2.0 ** (-gamma - 1)
+        assert np.max(np.abs(rule.nodes - (x + 1) / 2)) <= 1e-14
+        assert np.max(np.abs(rule.weights - w)) <= 1e-11 * np.max(w)
+
     def test_domain_guards(self):
         with pytest.raises(DomainError):
             gauss_jacobi_radial(0, 0.0)
         with pytest.raises(DomainError):
             gauss_jacobi_radial(4, -1.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, gamma):
+        with pytest.raises(DomainError):
+            gauss_jacobi_radial(4, gamma)
+
+    def test_runtime_needs_no_scipy(self):
+        # scipy is a test-only oracle: importing the package and the CLI and
+        # building a radial rule must not load any part of it
+        code = ("import sys\n"
+                "import diskpoly, diskpoly.cli\n"
+                "p = diskpoly.ZernikeParams(3, 2, 0.5)\n"
+                "diskpoly.inner_product(p, p, n_radial=8)\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m == 'scipy' or m.startswith('scipy.')))\n")
+        src = Path(numerics.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestQuadratureRuleType:

@@ -359,6 +359,15 @@ class TestHermite:
                 want = float((-1) ** m * math.factorial(m)) if m == n else 0.0
                 assert hermite(m, n, 0j) == complex(want)
 
+    @pytest.mark.parametrize("m, n", [(1.5, 2), (2, 2.0), ("2", 1)])
+    def test_non_integer_indices_rejected(self, m, n):
+        with pytest.raises(DomainError):
+            hermite(m, n, 0.3j)
+
+    def test_numpy_integer_indices_accepted(self):
+        z = 0.8 - 0.3j
+        assert hermite(np.int64(2), np.int32(1), z) == hermite(2, 1, z)
+
     def test_limit_error_decreases(self):
         z = 0.7 + 0.3j
         for (m, n) in [(1, 0), (2, 1), (3, 3), (4, 2)]:
