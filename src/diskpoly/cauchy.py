@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergentError, NZeroError
-from .numerics import _check_weight, gauss_legendre, hyp2f1, incomplete_beta
+from .numerics import _check_count, _check_weight, gauss_legendre, hyp2f1, incomplete_beta
 from .zernike import ZernikeParams, _check_disk, eval_explicit, monomial_coeffs
 
 __all__ = [
@@ -42,14 +42,15 @@ def cauchy_monomial_closed(p: int, q: int, k: int, gamma: float, z: complex) -> 
 
     The angular charge chi = q - p picks the branch: for chi <= 0 only the
     radial part inside |z| contributes, for chi > 0 only the part outside.
-    At z = 0 the value is the full beta integral when the result charge
-    chi - 1 vanishes, and zero otherwise.
+    At z = 0, and wherever |z|^2 underflows to 0, the value is the full
+    beta integral when the result charge chi - 1 vanishes, and zero
+    otherwise.
     """
     _check_monomial(p, q, k, gamma)
     z = _check_disk(z, strict=True)
     r2 = z.real * z.real + z.imag * z.imag
     chi = q - p
-    if z == 0:
+    if r2 == 0:
         if chi == 1:
             return complex(incomplete_beta(p + 1, gamma + k + 1, 1.0))
         return 0j
@@ -62,14 +63,15 @@ def cauchy_monomial_2f1(p: int, q: int, k: int, gamma: float, z: complex) -> com
     """Hypergeometric form of the monomial transform, for p >= q.
 
     Needs 0 < |z| <= 0.95 so the non-terminating series stays well away
-    from its convergence boundary.
+    from its convergence boundary; a point whose |z|^2 underflows to 0
+    counts as the origin.
     """
     _check_monomial(p, q, k, gamma)
     if p < q:
         raise DomainError(f"this route needs p >= q, got ({p}, {q})")
     z = complex(z)
     r2 = z.real * z.real + z.imag * z.imag
-    if z == 0 or r2 > 0.95**2:
+    if not 0 < r2 <= 0.95**2:
         raise DomainError("this route needs 0 < |z| <= 0.95")
     u = 1.0 - r2
     f = hyp2f1(1.0, gamma + p + k + 2.0, p + 2.0, r2)
@@ -114,9 +116,8 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     """
     _check_weight(gamma)
     z = _check_disk(z, strict=True)
-    if n_r < 4 or n_theta < 8:
-        raise DomainError("rule is too small to mean anything")
-    rule = gauss_legendre(n_r)
+    n_theta = _check_count(n_theta, 8, "angular node count")
+    rule = gauss_legendre(_check_count(n_r, 4, "radial node count"))
     tau = 0.5 * (rule.nodes + 1.0)
     wtau = 0.5 * rule.weights
     sin_sq = np.sin(0.5 * np.pi * tau) ** 2

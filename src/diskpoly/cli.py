@@ -75,8 +75,9 @@ def cmd_eval(ns) -> int:
         print(_value_line(ns.method, v))
         return 0
     values = []
+    r2 = z.real * z.real + z.imag * z.imag
     for route in ROUTES:
-        if route in ("gauss1", "gauss2") and z == 0:
+        if route in ("gauss1", "gauss2") and r2 == 0:
             continue
         if route == "contour" and abs(z) > 0.95:
             continue

@@ -9,6 +9,7 @@ silently share code with the oracles used to test them.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,9 @@ __all__ = [
 # that terminates.  Values this close to an integer are treated as exact.
 _INT_TOL = 1e-9
 
+# Relative tolerance of incomplete_beta's quadrature self-check.
+_BETA_CHECK_TOL = 1e-10
+
 
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1.
@@ -50,6 +54,17 @@ def _check_weight(g: float):
     """Raise DomainError unless the weight exponent is finite and > -1."""
     if not (math.isfinite(g) and g > -1):
         raise DomainError(f"weight exponent must be finite and > -1, got {g!r}")
+
+
+def _check_count(n, least: int, what: str) -> int:
+    """Return n as an int; raise DomainError unless it is an integer >= least."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {n!r}") from None
+    if n < least:
+        raise DomainError(f"{what} must be at least {least}, got {n}")
+    return n
 
 
 def _nonpos_int(v: float) -> int | None:
@@ -140,34 +155,21 @@ def jacobi_p(n: int, alpha: float, beta: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for a fixed quadrature rule.
-
-    ``kind`` is "interval" (nodes strictly inside ``bounds``, weights
-    positive) or "periodic" (equispaced angles on [0, 2pi) with uniform
-    weight 2pi/N).
-    """
+    """Nodes and weights for a fixed quadrature rule on an interval: nodes
+    strictly inside ``bounds``, weights positive."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
     bounds: tuple[float, float]
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights) or len(self.nodes) == 0:
             raise DomainError("quadrature rule needs matching, nonempty nodes and weights")
-        if self.kind == "interval":
-            lo, hi = self.bounds
-            if not (np.all(self.nodes > lo) and np.all(self.nodes < hi)):
-                raise DomainError("interval rule has nodes outside its open interval")
-            if not np.all(self.weights > 0):
-                raise DomainError("interval rule has nonpositive weights")
-        elif self.kind == "periodic":
-            n = len(self.nodes)
-            expect = 2 * np.pi * np.arange(n) / n
-            if not (np.allclose(self.nodes, expect) and np.allclose(self.weights, 2 * np.pi / n)):
-                raise DomainError("periodic rule must be the uniform trapezoid rule")
-        else:
-            raise DomainError(f"unknown rule kind {self.kind!r}")
+        lo, hi = self.bounds
+        if not (np.all(self.nodes > lo) and np.all(self.nodes < hi)):
+            raise DomainError("interval rule has nodes outside its open interval")
+        if not np.all(self.weights > 0):
+            raise DomainError("interval rule has nonpositive weights")
 
     def integrate(self, f) -> float | complex:
         return np.sum(self.weights * f(self.nodes))
@@ -183,15 +185,16 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p1, dp
 
 
-@lru_cache(maxsize=64)
+# typed, as is gauss_jacobi_radial's cache: a float count equal to a cached
+# int must reach the count check, not be served that int's rule
+@lru_cache(maxsize=64, typed=True)
 def gauss_legendre(n: int) -> QuadratureRule:
     """Gauss-Legendre rule on (-1, 1), exact for polynomials of degree 2n-1.
 
     Nodes are found by Newton iteration from the Chebyshev-angle initial
     guesses; each root is polished to machine precision.
     """
-    if n < 1:
-        raise DomainError(f"gauss_legendre needs n >= 1, got {n}")
+    n = _check_count(n, 1, "gauss_legendre node count")
     x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
     for _ in range(100):
         p, dp = _legendre_pair(n, x)
@@ -204,10 +207,10 @@ def gauss_legendre(n: int) -> QuadratureRule:
     p, dp = _legendre_pair(n, x)
     w = 2.0 / ((1 - x * x) * dp * dp)
     order = np.argsort(x)
-    return QuadratureRule(x[order], w[order], "interval", (-1.0, 1.0))
+    return QuadratureRule(x[order], w[order], (-1.0, 1.0))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def gauss_jacobi_radial(n: int, gamma: float) -> QuadratureRule:
     """Gauss rule on (0, 1) for the weight (1 - t)^gamma dt, gamma > -1.
 
@@ -216,8 +219,7 @@ def gauss_jacobi_radial(n: int, gamma: float) -> QuadratureRule:
     ``numpy.linalg.eigh`` and the rule is mapped from (-1, 1) onto (0, 1).
     Total weight is the exact moment 1/(gamma + 1).
     """
-    if n < 1:
-        raise DomainError(f"gauss_jacobi_radial needs n >= 1, got {n}")
+    n = _check_count(n, 1, "gauss_jacobi_radial node count")
     _check_weight(gamma)
     g = float(gamma)
     diag = np.empty(n)
@@ -232,7 +234,7 @@ def gauss_jacobi_radial(n: int, gamma: float) -> QuadratureRule:
     # contributes 2^(-g-1), leaving total mass 1/(g+1)
     w = v[0, :] ** 2 / (g + 1)
     t = (x + 1) / 2
-    return QuadratureRule(t, w, "interval", (0.0, 1.0))
+    return QuadratureRule(t, w, (0.0, 1.0))
 
 
 def _beta_complete(a: float, b: float) -> float:
@@ -290,21 +292,20 @@ def _beta_closed(a: float, b: float, x: float) -> float:
     return (x**a / a) * (1 - x) ** b * hyp2f1(1.0, a + b, a + 1.0, x)
 
 
-def incomplete_beta(a: float, b: float, x: float, side: str = "lower",
-                    check_tol: float = 1e-10) -> float:
+def incomplete_beta(a: float, b: float, x: float, side: str = "lower") -> float:
     """Incomplete beta integral of t^(a-1)(1-t)^(b-1) over [0,x] or [x,1].
 
     The value comes from the closed hypergeometric form
     (x^a / a)(1-x)^b 2F1(1, a+b; a+1; x) and every interior call is
     cross-checked against composite Gauss quadrature of the defining
-    integral; disagreement beyond ``check_tol`` (relative) raises
+    integral; disagreement beyond ``_BETA_CHECK_TOL`` (relative) raises
     NonConvergentError since it signals a defect in one of the routes.
     Needs a > 0 and b > -1 (b > 0 when the t=1 endpoint is involved).
     """
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     if side == "upper":
-        return incomplete_beta(b, a, 1.0 - x, "lower", check_tol)
+        return incomplete_beta(b, a, 1.0 - x, "lower")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if a <= 0:
@@ -324,7 +325,7 @@ def incomplete_beta(a: float, b: float, x: float, side: str = "lower",
     else:
         closed = _beta_closed(a, b, x)
     quad = _beta_quad_check(a, b, x)
-    if abs(closed - quad) > check_tol * max(abs(closed), abs(quad)):
+    if abs(closed - quad) > _BETA_CHECK_TOL * max(abs(closed), abs(quad)):
         raise NonConvergentError(
             f"incomplete beta routes disagree: closed={closed!r} quadrature={quad!r}"
         )

@@ -59,8 +59,23 @@ def normalized_deviation(a: complex, b: complex, s_param: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 0.1 * s_param, _TINY)
 
 
-def _fmt_gamma(g: float) -> str:
-    return format(g, "g")
+def _worst(f, ref: dict, s: float, pts) -> float:
+    """Largest normalized deviation of f(z) from ref[z] over the points."""
+    return max(normalized_deviation(f(z), ref[z], s) for z in pts)
+
+
+def _grid(max_mn: int, gammas):
+    """Yield (params, label) for every weight and index pair up to max_mn."""
+    for g in gammas:
+        for m in range(max_mn + 1):
+            for n in range(max_mn + 1):
+                yield ZernikeParams(m, n, g), f"gamma={g:g} m={m} n={n}"
+
+
+def _reference(p: ZernikeParams, pts) -> tuple[dict, float]:
+    """Explicit-route values at the points, and their largest magnitude S."""
+    ref = {z: eval_explicit(p, z) for z in pts}
+    return ref, max(abs(v) for v in ref.values())
 
 
 # ---------------------------------------------------------------- routes
@@ -68,20 +83,13 @@ def _fmt_gamma(g: float) -> str:
 def suite_routes(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     pts = disk_points(seed, 6, 0.95)
     pts_contour = disk_points(seed + 1, 6, 0.8)
-    combos = [(g, m, n) for g in gammas
-              for m in range(max_mn + 1) for n in range(max_mn + 1)]
     rows = []
-    for g, m, n in combos:
-        p = ZernikeParams(m, n, g)
-        ref = {z: eval_explicit(p, z) for z in pts + pts_contour}
-        s = max(abs(v) for v in ref.values())
-        params = f"gamma={_fmt_gamma(g)} m={m} n={n}"
+    for p, params in _grid(max_mn, gammas):
+        ref, s = _reference(p, pts + pts_contour)
         for route in ("gauss1", "gauss2", "jacobi", "rodrigues"):
-            err = max(normalized_deviation(eval_route(p, z, route), ref[z], s)
-                      for z in pts)
+            err = _worst(lambda z: eval_route(p, z, route), ref, s, pts)
             rows.append(checked_row(f"{route}_vs_explicit", params, err, 1e-9))
-        err = max(normalized_deviation(eval_contour_adaptive(p, z), ref[z], s)
-                  for z in pts_contour)
+        err = _worst(lambda z: eval_contour_adaptive(p, z), ref, s, pts_contour)
         rows.append(checked_row("contour_vs_explicit", params, err, 1e-9))
     return rows
 
@@ -96,13 +104,13 @@ def suite_orthogonality(max_mn: int, gammas, seed: int) -> list[ReportRow]:
         norms = {mn: math.sqrt(norm_squared(ZernikeParams(*mn, g))) for mn in pairs}
         base = inner_product(ZernikeParams(0, 0, g), ZernikeParams(0, 0, g))
         ref = math.pi / (g + 1.0)
-        rows.append(checked_row("norm_base", f"gamma={_fmt_gamma(g)}",
+        rows.append(checked_row("norm_base", f"gamma={g:g}",
                                 abs(base - ref) / ref, 1e-12))
         for i, mn1 in enumerate(pairs):
             for mn2 in pairs[i + 1:]:
                 ip = inner_product(ZernikeParams(*mn1, g), ZernikeParams(*mn2, g))
                 err = abs(ip) / (norms[mn1] * norms[mn2])
-                params = (f"gamma={_fmt_gamma(g)} m1={mn1[0]} n1={mn1[1]}"
+                params = (f"gamma={g:g} m1={mn1[0]} n1={mn1[1]}"
                           f" m2={mn2[0]} n2={mn2[1]}")
                 rows.append(checked_row("inner_product_zero", params, err, 1e-11))
     return rows
@@ -112,21 +120,14 @@ def suite_orthogonality(max_mn: int, gammas, seed: int) -> list[ReportRow]:
 
 def suite_contour(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     pts = disk_points(seed + 2, 8, 0.8)
-    combos = [(g, m, n) for g in gammas
-              for m in range(max_mn + 1) for n in range(max_mn + 1)]
     rows = []
-    for g, m, n in combos:
-        p = ZernikeParams(m, n, g)
-        ref = {z: eval_explicit(p, z) for z in pts}
-        s = max(abs(v) for v in ref.values())
-        params = f"gamma={_fmt_gamma(g)} m={m} n={n}"
+    for p, params in _grid(max_mn, gammas):
+        ref, s = _reference(p, pts)
         try:
-            err = max(normalized_deviation(eval_contour_adaptive(p, z), ref[z], s)
-                      for z in pts)
+            err = _worst(lambda z: eval_contour_adaptive(p, z), ref, s, pts)
         except NonConvergentError:
             err = INFORMATIONAL
-        fixed = max(normalized_deviation(eval_contour(p, z, 512), ref[z], s)
-                    for z in pts)
+        fixed = _worst(lambda z: eval_contour(p, z, 512), ref, s, pts)
         rows.append(checked_row("contour_adaptive_vs_explicit", params, err, 1e-10))
         rows.append(checked_row("contour_fixed512_vs_explicit", params, fixed, 1e-9))
     return rows
@@ -139,44 +140,25 @@ def suite_cauchy(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     pts = disk_points(seed + 3, 10, 0.8)
     rows = []
 
-    def transform_scale(p: ZernikeParams, vals) -> float:
-        return max(max(abs(v) for v in vals), _TINY)
-
-    # index-shift identity, proven index ordering
-    for g in gammas:
-        for m in range(1, cap + 1):
-            for n in range(1, m + 1):
-                p = ZernikeParams(m, n, g)
-                quad = [cauchy_zernike_quad(p, z) for z in pts]
-                s = transform_scale(p, quad)
-                err = max(normalized_deviation(cauchy_zernike_closed(p, z), q, s)
-                          for z, q in zip(pts, quad))
-                rows.append(checked_row(
-                    "cauchy_shift_closed_vs_quad",
-                    f"gamma={_fmt_gamma(g)} m={m} n={n}", err, 1e-9))
-
-    # the published text states two different index patterns for the
-    # complementary ordering; record both residuals, gate only the one the
-    # oracles support
-    for g in gammas:
-        for m in range(1, cap + 1):
-            for n in range(m + 1, cap + 1):
-                p = ZernikeParams(m, n, g)
-                quad = [cauchy_zernike_quad(p, z) for z in pts]
-                s = transform_scale(p, quad)
-                same = max(normalized_deviation(cauchy_zernike_closed(p, z), q, s)
-                           for z, q in zip(pts, quad))
-                swapped = ZernikeParams(n, m - 1, g + 1.0)
-                printed = max(
-                    normalized_deviation(
-                        (1.0 - abs(z) ** 2) ** (g + 1.0) * eval_explicit(swapped, z),
-                        q, s)
-                    for z, q in zip(pts, quad))
-                params = f"gamma={_fmt_gamma(g)} m={m} n={n}"
-                rows.append(checked_row(
-                    "cauchy_shift_same_pattern", params, same, 1e-9))
-                rows.append(checked_row(
-                    "cauchy_shift_swapped_pattern", params, printed, INFORMATIONAL))
+    # index-shift identity against the monomial route, 1 <= m, n <= cap.
+    # The proven index ordering is n <= m; for n > m the published text
+    # states two different index patterns, so record both residuals and
+    # gate only the one the oracles support
+    for p, params in _grid(cap, gammas):
+        if p.m == 0 or p.n == 0:
+            continue
+        quad = {z: cauchy_zernike_quad(p, z) for z in pts}
+        s = max(abs(v) for v in quad.values())
+        err = _worst(lambda z: cauchy_zernike_closed(p, z), quad, s, pts)
+        same = "cauchy_shift_closed_vs_quad" if p.n <= p.m else "cauchy_shift_same_pattern"
+        rows.append(checked_row(same, params, err, 1e-9))
+        if p.n > p.m:
+            g1 = p.gamma + 1.0
+            swapped = ZernikeParams(p.n, p.m - 1, g1)
+            printed = _worst(lambda z: (1.0 - abs(z) ** 2) ** g1 * eval_explicit(swapped, z),
+                             quad, s, pts)
+            rows.append(checked_row(
+                "cauchy_shift_swapped_pattern", params, printed, INFORMATIONAL))
 
     # monomial transform: hypergeometric form against the beta form
     rng = Lcg64(seed + 4)
@@ -188,12 +170,11 @@ def suite_cauchy(max_mn: int, gammas, seed: int) -> list[ReportRow]:
         k = int(rng.uniform() * 4)
         g = gammas[i % len(gammas)]
         z = zs[i]
-        va = cauchy_monomial_closed(p, q, k, g, z)
-        vb = cauchy_monomial_2f1(p, q, k, g, z)
-        err = abs(va - vb) / max(abs(va), abs(vb), _TINY)
+        err = normalized_deviation(cauchy_monomial_closed(p, q, k, g, z),
+                                   cauchy_monomial_2f1(p, q, k, g, z), 0.0)
         rows.append(checked_row(
             "cauchy_monomial_2f1_vs_closed",
-            f"gamma={_fmt_gamma(g)} i={i:03d} k={k} p={p} q={q}", err, 1e-10))
+            f"gamma={g:g} i={i:03d} k={k} p={p} q={q}", err, 1e-10))
 
     # brute-force 2D oracle spot checks
     cases = [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (4, 4), (2, 0), (0, 2),
@@ -202,11 +183,11 @@ def suite_cauchy(max_mn: int, gammas, seed: int) -> list[ReportRow]:
         g = gammas[i % len(gammas)]
         z = pts[i % len(pts)]
         p = ZernikeParams(m, n, g)
-        a = cauchy_zernike_quad(p, z)
-        b = cauchy_direct_2d(lambda w: eval_explicit(p, w), g, z, 96, 192)
-        err = abs(a - b) / max(abs(a), abs(b), _TINY)
+        err = normalized_deviation(
+            cauchy_zernike_quad(p, z),
+            cauchy_direct_2d(lambda w: eval_explicit(p, w), g, z, 96, 192), 0.0)
         rows.append(checked_row("cauchy_direct2d_spotcheck",
-                                f"gamma={_fmt_gamma(g)} m={m} n={n}", err, 1e-6))
+                                f"gamma={g:g} m={m} n={n}", err, 1e-6))
     return rows
 
 
@@ -222,17 +203,21 @@ def _random_expr(rng: Lcg64):
     return DiskExpr(terms, offset)
 
 
+def _levels(nus, n_cap: int):
+    """Yield (nu, m, n) for each discrete level m < nu - 1/2 (m <= 4) of each nu."""
+    for nu in nus:
+        for m in range(min(4, math.ceil(nu - 0.5) - 1) + 1):
+            for n in range(n_cap + 1):
+                yield nu, m, n
+
+
 def suite_spectral(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     rows = []
     n_cap = min(max_mn, 4)
-    for nu in (2.0, 2.5, 6.0):
-        m_top = min(4, math.ceil(nu - 0.5) - 1)
-        for m in range(m_top + 1):
-            for n in range(n_cap + 1):
-                sp = SpectralParams(nu, m, n)
-                rows.append(checked_row(
-                    "eigen_residual", f"m={m} n={n} nu={nu:g}",
-                    eigen_residual(sp), 1e-10))
+    for nu, m, n in _levels((2.0, 2.5, 6.0), n_cap):
+        rows.append(checked_row(
+            "eigen_residual", f"m={m} n={n} nu={nu:g}",
+            eigen_residual(SpectralParams(nu, m, n)), 1e-10))
 
     rng = Lcg64(seed + 6)
     for i in range(50):
@@ -242,15 +227,12 @@ def suite_spectral(max_mn: int, gammas, seed: int) -> list[ReportRow]:
         rows.append(checked_row("ladder_factorization", f"i={i:02d} nu={nu:g}",
                                 err, 1e-10))
 
-    for nu in (1.6, 2.5, 6.0):
-        m_top = min(4, math.ceil(nu - 0.5) - 1)
-        for m in range(m_top + 1):
-            for n in range(n_cap + 1):
-                lhs, rhs = bridge_pair(SpectralParams(nu, m, n))
-                diff = max_abs_coeff(add(lhs, scale(rhs, -1.0)))
-                ref = max(max_abs_coeff(lhs), _TINY)
-                rows.append(checked_row(
-                    "ladder_bridge", f"m={m} n={n} nu={nu:g}", diff / ref, 1e-10))
+    for nu, m, n in _levels((1.6, 2.5, 6.0), n_cap):
+        lhs, rhs = bridge_pair(SpectralParams(nu, m, n))
+        diff = max_abs_coeff(add(lhs, scale(rhs, -1.0)))
+        ref = max(max_abs_coeff(lhs), _TINY)
+        rows.append(checked_row(
+            "ladder_bridge", f"m={m} n={n} nu={nu:g}", diff / ref, 1e-10))
     return rows
 
 

@@ -32,7 +32,8 @@ import numpy as np
 from . import algebra
 from .algebra import DiskExpr
 from .errors import DomainError, NonConvergentError, ParamMismatchError
-from .numerics import _check_weight, gauss_jacobi_radial, hyp2f1, jacobi_p, pochhammer
+from .numerics import (_check_count, _check_weight, gauss_jacobi_radial, hyp2f1,
+                       jacobi_p, pochhammer)
 
 __all__ = [
     "ZernikeParams",
@@ -85,7 +86,7 @@ def _check_indices(m: int, n: int):
 
 def _check_disk(z: complex, strict: bool = False,
                 arrays: bool = False) -> complex | np.ndarray:
-    """Coerce z to complex and check it lies in the disk.
+    """Coerce z to complex and check it lies in the disk; NaN never does.
 
     With ``arrays`` set, an ndarray of points of any nonzero rank is
     coerced to a complex array instead and checked at its largest |z|.
@@ -97,9 +98,9 @@ def _check_disk(z: complex, strict: bool = False,
         z = complex(z)
         r2 = z.real * z.real + z.imag * z.imag
     if strict:
-        if r2 >= 1.0:
+        if not r2 < 1.0:
             raise DomainError(f"point must lie strictly inside the disk, |z| = {math.sqrt(r2):g}")
-    elif r2 > 1.0 + 1e-12:
+    elif not r2 <= 1.0 + 1e-12:
         raise DomainError(f"point must lie in the closed disk, |z| = {math.sqrt(r2):g}")
     return z
 
@@ -142,23 +143,23 @@ def eval_explicit(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.nda
 
 
 def eval_gauss1(p: ZernikeParams, z: complex) -> complex:
-    """Terminating series in 1 - 1/|z|^2; needs z != 0."""
+    """Terminating series in 1 - 1/|z|^2; needs |z|^2 != 0."""
     z = _check_disk(z)
-    if z == 0:
+    r2 = z.real * z.real + z.imag * z.imag
+    if r2 == 0:
         raise DomainError("this route is singular at the origin")
     m, n, g = p.m, p.n, p.gamma
-    r2 = z.real * z.real + z.imag * z.imag
     f = hyp2f1(-float(m), -float(n), g + 1.0, 1.0 - 1.0 / r2)
     return pochhammer(g + 1, m + n) * z.conjugate() ** m * z**n * f
 
 
 def eval_gauss2(p: ZernikeParams, z: complex) -> complex:
-    """Terminating series in 1/|z|^2; needs z != 0."""
+    """Terminating series in 1/|z|^2; needs |z|^2 != 0."""
     z = _check_disk(z)
-    if z == 0:
+    r2 = z.real * z.real + z.imag * z.imag
+    if r2 == 0:
         raise DomainError("this route is singular at the origin")
     m, n, g = p.m, p.n, p.gamma
-    r2 = z.real * z.real + z.imag * z.imag
     f = hyp2f1(-float(m), -float(n), -(g + m + n), 1.0 / r2)
     # (g+1)_{m+n}^2 / ((g+1)_m (g+1)_n) without the square, which overflows
     pref = pochhammer(g + m + 1, n) * pochhammer(g + n + 1, m)
@@ -226,9 +227,7 @@ def eval_contour(p: ZernikeParams, z: complex, n_nodes: int) -> complex:
     like |z|^N.
     """
     z = _check_disk(z, strict=True)
-    if n_nodes < 16:
-        raise DomainError(f"need at least 16 nodes, got {n_nodes}")
-    value, _ = _contour_sum(p, z, n_nodes)
+    value, _ = _contour_sum(p, z, _check_count(n_nodes, 16, "contour node count"))
     return value
 
 
@@ -241,7 +240,7 @@ def eval_contour_adaptive(p: ZernikeParams, z: complex, rel_tol: float = 1e-10,
     NonConvergentError if the cap is hit first.
     """
     z = _check_disk(z, strict=True)
-    n_nodes = max(16, start_nodes)
+    n_nodes = max(16, _check_count(start_nodes, 1, "contour start node count"))
     prev, _ = _contour_sum(p, z, n_nodes)
     while n_nodes < max_nodes:
         n_nodes *= 2

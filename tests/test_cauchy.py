@@ -244,3 +244,42 @@ def test_cauchy_transform_dispatch():
     assert abs(d - cauchy_zernike_closed(p, Z0)) <= 1e-9 * abs(d)
     with pytest.raises(DomainError):
         cauchy_transform(inp, "nope")
+
+
+def test_direct_2d_node_counts_are_integers():
+    p = ZernikeParams(2, 1, 0.5)
+    f = lambda w: eval_explicit(p, w)  # noqa: E731
+    z = 0.3 - 0.2j
+    for n_r, n_theta in ((96.5, 192), (96, 192.0), ("96", 192), (2, 192), (96, 4)):
+        with pytest.raises(DomainError):
+            cauchy_direct_2d(f, 0.5, z, n_r, n_theta)
+    assert cauchy_direct_2d(f, 0.5, z, np.int64(96), np.int32(192)) == \
+        cauchy_direct_2d(f, 0.5, z, 96, 192)
+
+
+def test_nan_point_rejected():
+    p = ZernikeParams(2, 1, 0.5)
+    z = complex(math.nan, 0.0)
+    with pytest.raises(DomainError):
+        cauchy_zernike_closed(p, z)
+    with pytest.raises(DomainError):
+        cauchy_zernike_quad(p, z)
+    with pytest.raises(DomainError):
+        cauchy_direct_2d(lambda w: eval_explicit(p, w), 0.5, z)
+    with pytest.raises(DomainError):
+        cauchy_monomial_closed(2, 1, 1, 0.5, z)
+    with pytest.raises(DomainError):
+        cauchy_monomial_2f1(2, 1, 1, 0.5, z)
+
+
+def test_underflowing_point_is_the_origin():
+    # |z|^2 = 0 in floating point: the z = 0 rules apply, not a division by z
+    tiny = 1e-200 + 0j
+    for p, q in ((2, 1), (1, 2), (0, 1), (3, 3)):
+        assert cauchy_monomial_closed(p, q, 1, 0.5, tiny) == \
+            cauchy_monomial_closed(p, q, 1, 0.5, 0j)
+    for m, n in ((2, 1), (1, 2)):
+        params = ZernikeParams(m, n, 0.5)
+        assert cauchy_zernike_quad(params, tiny) == cauchy_zernike_quad(params, 0j)
+    with pytest.raises(DomainError):
+        cauchy_monomial_2f1(2, 1, 1, 0.5, tiny)

@@ -88,6 +88,38 @@ class TestSuites:
         assert len(rep.rows) == 125
         assert rep.all_passed
 
+    def test_report_inventory(self):
+        # at max_mn 6 every per-suite index cap (4, 5, 6) is in force; a
+        # refactor that drops or re-tolerances a row family shows up here
+        rep = run_suite("all", max_mn=6)
+        inventory = {}
+        for r in rep.rows:
+            tol, count = inventory.get(r.identity, (r.tolerance, 0))
+            assert tol == r.tolerance, r.identity
+            inventory[r.identity] = (tol, count + 1)
+        assert inventory == {
+            "cauchy_direct2d_spotcheck": (1e-6, 10),
+            "cauchy_monomial_2f1_vs_closed": (1e-10, 200),
+            "cauchy_shift_closed_vs_quad": (1e-9, 60),
+            "cauchy_shift_same_pattern": (1e-9, 40),
+            "cauchy_shift_swapped_pattern": (INFORMATIONAL, 40),
+            "contour_adaptive_vs_explicit": (1e-10, 196),
+            "contour_fixed512_vs_explicit": (1e-9, 196),
+            "contour_vs_explicit": (1e-9, 196),
+            "eigen_residual": (1e-10, 45),
+            "gauss1_vs_explicit": (1e-9, 196),
+            "gauss2_vs_explicit": (1e-9, 196),
+            "hermite_limit_monotone": (1.0, 25),
+            "hermite_origin_delta": (1e-300, 49),
+            "inner_product_zero": (1e-11, 2520),
+            "jacobi_vs_explicit": (1e-9, 196),
+            "ladder_bridge": (1e-10, 45),
+            "ladder_factorization": (1e-10, 50),
+            "norm_base": (1e-12, 4),
+            "rodrigues_vs_explicit": (1e-9, 196),
+        }
+        assert len(rep.rows) == 4460 and rep.all_passed
+
     def test_rows_sorted(self):
         rep = run_suite("spectral", max_mn=2)
         keys = [(r.identity, r.params) for r in rep.rows]
@@ -123,11 +155,13 @@ class TestEval:
         assert float(dev) <= 1e-9
 
     def test_all_at_origin_skips_gauss(self, capsys):
-        assert main(["eval", "--m", "2", "--n", "2", "--gamma", "0.5",
-                     "--z", "0,0", "--method", "all"]) == 0
-        out = capsys.readouterr().out
-        assert "gauss1" not in out and "gauss2" not in out
-        assert out.startswith("explicit, ")
+        # |z|^2 of 1e-200 underflows to 0, so that point is the origin too
+        for z in ("0,0", "1e-200,0"):
+            assert main(["eval", "--m", "2", "--n", "2", "--gamma", "0.5",
+                         "--z", z, "--method", "all"]) == 0
+            out = capsys.readouterr().out
+            assert "gauss1" not in out and "gauss2" not in out
+            assert out.startswith("explicit, ")
 
     def test_domain_error_exit_3(self, capsys):
         assert main(["eval", "--m", "1", "--n", "1", "--gamma", "0",
@@ -179,6 +213,55 @@ class TestEvalErrorContract:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("ERROR 3: ")
 
+
+
+def _one_error_3(rc, err):
+    lines = err.splitlines()
+    return rc == 3 and len(lines) == 1 and lines[0].startswith("ERROR 3: ")
+
+
+class TestPointContract:
+    """A NaN point is a domain error naming |z|, not a printed NaN or a
+    convergence failure; a point whose |z|^2 underflows to 0 is the origin,
+    not a ZeroDivisionError (exit 1 is reserved for failed rows)."""
+
+    EVAL = ["eval", "--m", "2", "--n", "1", "--gamma", "0.5"]
+    CAUCHY = ["cauchy", "--gamma", "0.5"]
+
+    @pytest.mark.parametrize("args", [
+        EVAL + ["--method", "explicit"],
+        EVAL + ["--method", "jacobi"],
+        EVAL + ["--method", "gauss1"],
+        EVAL + ["--method", "contour"],
+        EVAL + ["--method", "all"],
+        CAUCHY + ["--m", "2", "--n", "1", "--route", "closed"],
+        CAUCHY + ["--m", "2", "--n", "1", "--route", "quad"],
+        CAUCHY + ["--m", "2", "--n", "1", "--route", "direct"],
+        CAUCHY + ["--monomial", "2,1,1", "--route", "2f1"],
+    ])
+    def test_nan_point_exit_3(self, capsys, args):
+        rc = main(args + ["--z", "nan,0"])
+        out, err = capsys.readouterr()
+        assert _one_error_3(rc, err), (rc, out, err)
+        assert "|z|" in err
+
+    @pytest.mark.parametrize("args", [
+        EVAL + ["--method", "gauss1"],
+        EVAL + ["--method", "gauss2"],
+        CAUCHY + ["--monomial", "2,1,1", "--route", "2f1"],
+    ])
+    def test_underflowing_point_exit_3(self, capsys, args):
+        rc = main(args + ["--z", "1e-200,0"])
+        assert _one_error_3(rc, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("args", [
+        CAUCHY + ["--m", "2", "--n", "1", "--route", "quad"],
+        CAUCHY + ["--monomial", "2,1,1", "--route", "closed"],
+    ])
+    def test_underflowing_point_transform_exit_0(self, capsys, args):
+        assert main(args + ["--z", "1e-200,0"]) == 0
+        _, re_s, im_s = capsys.readouterr().out.strip().split(", ")
+        assert math.isfinite(float(re_s)) and math.isfinite(float(im_s))
 
 class TestVerify:
     def test_report_written_and_green(self, capsys, tmp_path):

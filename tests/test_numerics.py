@@ -323,25 +323,33 @@ class TestGaussJacobiRadial:
 class TestQuadratureRuleType:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            QuadratureRule(np.array([0.0, 0.5]), np.array([1.0]), "interval", (-1.0, 1.0))
+            QuadratureRule(np.array([0.0, 0.5]), np.array([1.0]), (-1.0, 1.0))
 
     def test_nodes_outside_interval_rejected(self):
         with pytest.raises(DomainError):
-            QuadratureRule(np.array([-2.0]), np.array([1.0]), "interval", (-1.0, 1.0))
+            QuadratureRule(np.array([-2.0]), np.array([1.0]), (-1.0, 1.0))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):
-            QuadratureRule(np.array([0.0]), np.array([-1.0]), "interval", (-1.0, 1.0))
+            QuadratureRule(np.array([0.0]), np.array([-1.0]), (-1.0, 1.0))
 
-    def test_periodic_shape(self):
-        n = 8
-        nodes = 2 * np.pi * np.arange(n) / n
-        rule = QuadratureRule(nodes, np.full(n, 2 * np.pi / n), "periodic", (0.0, 2 * np.pi))
-        # exact for e^{i k theta}, k = 0 mod n alone surviving
-        assert rule.integrate(lambda t: np.exp(1j * t)) == pytest.approx(0.0, abs=1e-14)
-        assert rule.integrate(lambda t: np.ones_like(t)) == pytest.approx(2 * np.pi, rel=1e-15)
 
-    def test_periodic_wrong_spacing_rejected(self):
+class TestNodeCounts:
+    """Node counts are integers: a float or a string is a DomainError."""
+
+    @pytest.mark.parametrize("n", [4.5, 8.0, "8", None])
+    def test_non_integer_rejected(self, n):
+        gauss_legendre(8)  # a cached int rule must not serve 8.0
         with pytest.raises(DomainError):
-            QuadratureRule(np.array([0.0, 1.0]), np.array([np.pi, np.pi]), "periodic",
-                           (0.0, 2 * np.pi))
+            gauss_legendre(n)
+        with pytest.raises(DomainError):
+            gauss_jacobi_radial(n, 0.0)
+
+    @pytest.mark.parametrize("n", [np.int64(8), np.int32(8)])
+    def test_numpy_integers_accepted(self, n):
+        assert np.array_equal(gauss_legendre(n).nodes, gauss_legendre(8).nodes)
+        assert np.array_equal(gauss_legendre(n).weights, gauss_legendre(8).weights)
+        want = gauss_jacobi_radial(8, 0.5)
+        got = gauss_jacobi_radial(n, 0.5)
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.weights, want.weights)

@@ -179,11 +179,13 @@ class TestRouteAgreement:
             eval_contour_adaptive(p, 0.97 + 0j, max_nodes=128)
 
     def test_gauss_routes_reject_origin(self):
+        # |z|^2 of 1e-200 underflows to 0: the origin, not a ZeroDivisionError
         p = ZernikeParams(1, 1, 0.0)
-        with pytest.raises(DomainError):
-            eval_gauss1(p, 0j)
-        with pytest.raises(DomainError):
-            eval_gauss2(p, 0j)
+        for z in (0j, 1e-200 + 0j):
+            with pytest.raises(DomainError, match="origin"):
+                eval_gauss1(p, z)
+            with pytest.raises(DomainError, match="origin"):
+                eval_gauss2(p, z)
 
     def test_outside_disk_rejected(self):
         p = ZernikeParams(1, 1, 0.0)
@@ -191,6 +193,13 @@ class TestRouteAgreement:
             eval_explicit(p, 1.5 + 0j)
         with pytest.raises(DomainError):
             eval_contour(p, 1.0 + 0j, 64)
+        # a NaN coordinate is outside the disk for every route
+        for z in (complex(math.nan, 0.0), complex(0.0, math.nan)):
+            for route in ROUTES:
+                with pytest.raises(DomainError, match="disk"):
+                    eval_route(p, z, route)
+            with pytest.raises(DomainError, match="disk"):
+                eval_contour(p, z, 64)
 
     def test_unknown_route(self):
         with pytest.raises(DomainError):
@@ -235,6 +244,28 @@ class TestArrayInput:
             eval_explicit(p, pts)
         with pytest.raises(DomainError):
             eval_explicit(p, pts.reshape(2, 2))
+        for nan_pts in (np.array([0.1, np.nan]), np.array([[0.2j, complex(0.0, np.nan)]])):
+            with pytest.raises(DomainError):
+                eval_explicit(p, nan_pts)
+
+
+class TestContourNodeCount:
+    P = ZernikeParams(2, 1, 0.5)
+    Z = 0.3 - 0.2j
+
+    def test_fractional_count_rejected(self):
+        # a count of 100.5 would sum 101 nodes over a 100.5-step angle
+        # grid: a value 0.8% off, returned without a word
+        with pytest.raises(DomainError):
+            eval_contour(self.P, self.Z, 100.5)
+        with pytest.raises(DomainError):
+            eval_contour_adaptive(self.P, self.Z, start_nodes=100.5)
+
+    def test_numpy_integer_count_accepted(self):
+        want = eval_contour(self.P, self.Z, 128)
+        assert eval_contour(self.P, self.Z, np.int64(128)) == want
+        assert eval_contour_adaptive(self.P, self.Z, start_nodes=np.int32(64)) == \
+            eval_contour_adaptive(self.P, self.Z)
 
 
 class TestRodriguesExpr:
