@@ -67,12 +67,9 @@ from .spectral import (
     psi,
 )
 from .cauchy import (
-    CauchyInput,
     cauchy_direct_2d,
-    cauchy_direct_2d_adaptive,
     cauchy_monomial_2f1,
     cauchy_monomial_closed,
-    cauchy_transform,
     cauchy_zernike_closed,
     cauchy_zernike_quad,
 )

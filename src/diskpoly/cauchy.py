@@ -11,11 +11,9 @@ result with u^(gamma+1).  Every route here is checked against the others
 in the test suite, with a brute-force 2D oracle as the final arbiter.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, NonConvergentError, NZeroError
+from .errors import DomainError, NZeroError
 from .numerics import _check_count, _check_weight, gauss_legendre, hyp2f1, incomplete_beta
 from .zernike import ZernikeParams, _check_disk, eval_explicit, monomial_coeffs
 
@@ -25,9 +23,6 @@ __all__ = [
     "cauchy_zernike_closed",
     "cauchy_zernike_quad",
     "cauchy_direct_2d",
-    "cauchy_direct_2d_adaptive",
-    "CauchyInput",
-    "cauchy_transform",
 ]
 
 
@@ -75,8 +70,9 @@ def cauchy_monomial_2f1(p: int, q: int, k: int, gamma: float, z: complex) -> com
         raise DomainError("this route needs 0 < |z| <= 0.95")
     u = 1.0 - r2
     f = hyp2f1(1.0, gamma + p + k + 2.0, p + 2.0, r2)
-    return (-(z ** (q + k)) * z.conjugate() ** (p + k + 1) / (p + 1)
-            * u ** (gamma + 1) * (u / r2) ** k * f)
+    # z^(q+k) conj(z)^(p+k+1) u^(gamma+1) (u/r2)^k with z^k conj(z)^k = r2^k
+    # cancelled, so a subnormal r2 is never divided into
+    return -z ** q * z.conjugate() ** (p + 1) / (p + 1) * u ** (gamma + 1 + k) * f
 
 
 def cauchy_zernike_closed(p: ZernikeParams, z: complex) -> complex:
@@ -136,57 +132,3 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     ring = vals @ (wtau * jac)
     acc = np.sum(reach * ring * e.conjugate())
     return complex(acc * (2.0 * np.pi / n_theta) / np.pi)
-
-
-def cauchy_direct_2d_adaptive(f, gamma: float, z: complex, rel_tol: float = 1e-7,
-                              start: tuple[int, int] = (64, 64),
-                              max_nodes: int = 1024) -> complex:
-    """Double both grid dimensions until two passes agree to rel_tol."""
-    n_r, n_theta = start
-    prev = cauchy_direct_2d(f, gamma, z, n_r, n_theta)
-    while max(n_r, n_theta) < max_nodes:
-        n_r *= 2
-        n_theta *= 2
-        cur = cauchy_direct_2d(f, gamma, z, n_r, n_theta)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-30):
-            return cur
-        prev = cur
-    raise NonConvergentError(f"2D rule still moving at {n_r} x {n_theta} nodes")
-
-
-@dataclass(frozen=True)
-class CauchyInput:
-    """One transform request: either a monomial (p, q, k) or an index pair."""
-
-    gamma: float
-    z: complex
-    monomial: tuple[int, int, int] | None = None
-    indices: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if (self.monomial is None) == (self.indices is None):
-            raise DomainError("specify exactly one of monomial or indices")
-
-
-def cauchy_transform(inp: CauchyInput, route: str = "closed") -> complex:
-    """Dispatch one transform by route name.
-
-    Monomial inputs accept routes "closed" and "2f1"; index-pair inputs
-    accept "closed", "quad" and "direct".
-    """
-    if inp.monomial is not None:
-        p, q, k = inp.monomial
-        if route == "closed":
-            return cauchy_monomial_closed(p, q, k, inp.gamma, inp.z)
-        if route == "2f1":
-            return cauchy_monomial_2f1(p, q, k, inp.gamma, inp.z)
-        raise DomainError(f"unknown monomial route {route!r}")
-    m, n = inp.indices
-    params = ZernikeParams(m, n, inp.gamma)
-    if route == "closed":
-        return cauchy_zernike_closed(params, inp.z)
-    if route == "quad":
-        return cauchy_zernike_quad(params, inp.z)
-    if route == "direct":
-        return cauchy_direct_2d(lambda w: eval_explicit(params, w), inp.gamma, inp.z)
-    raise DomainError(f"unknown route {route!r}")

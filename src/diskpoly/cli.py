@@ -2,18 +2,20 @@
 suites, compute transforms, and export value tables.
 
 Exit codes: 0 success, 1 verification rows failed, 2 bad flags, 3 domain
-or convergence error.  Every failure writes one machine-parseable line
-"ERROR <code>: <reason>" to stderr.  All output is deterministic for
-identical flags.
+or convergence error (an inf or NaN result counts as one).  Every failure
+writes one machine-parseable line "ERROR <code>: <reason>" to stderr.  All
+output is deterministic for identical flags.
 """
 
 import argparse
+import cmath
 import csv
 import math
 import sys
 
-from .cauchy import CauchyInput, cauchy_transform, cauchy_zernike_closed, cauchy_zernike_quad
-from .errors import DiskPolyError
+from .cauchy import (cauchy_direct_2d, cauchy_monomial_2f1, cauchy_monomial_closed,
+                     cauchy_zernike_closed, cauchy_zernike_quad)
+from .errors import DiskPolyError, NonConvergentError
 from .report import _f17, serialize
 from .suites import DEFAULT_GAMMAS, DEFAULT_SEED, SUITE_NAMES, run_suite
 from .zernike import ROUTES, ZernikeParams, eval_explicit, eval_route
@@ -61,7 +63,15 @@ def _parse_range(text: str, flag: str) -> list[int]:
         _flag_error(f"{flag} expects INT or LO:HI, got {text!r}")
 
 
+def _finite(v: complex) -> complex:
+    """Return v, or raise NonConvergentError if a part is inf or NaN."""
+    if not cmath.isfinite(v):
+        raise NonConvergentError(f"value is not finite: {v.real!r}, {v.imag!r}")
+    return v
+
+
 def _value_line(label: str, v: complex) -> str:
+    v = _finite(v)
     return f"{label}, {v.real!r}, {v.imag!r}"
 
 
@@ -112,10 +122,11 @@ def _table_rows(ns, params, points):
     """Yield the finished cells of each table row, one row at a time."""
     for p in params:
         for z in points:
-            v = eval_explicit(p, z)
+            v = _finite(eval_explicit(p, z))
             row = [p.gamma, z.real, z.imag, v.real, v.imag]
             if ns.with_cauchy:
-                c = cauchy_zernike_closed(p, z) if p.n >= 1 else cauchy_zernike_quad(p, z)
+                c = _finite(cauchy_zernike_closed(p, z) if p.n >= 1
+                            else cauchy_zernike_quad(p, z))
                 row.extend([c.real, c.imag])
             yield [str(p.m), str(p.n)] + [_f17(x) for x in row]
 
@@ -160,6 +171,14 @@ def cmd_table(ns) -> int:
 
 # ---------------------------------------------------------------- cauchy
 
+_MONOMIAL_ROUTES = {"closed": cauchy_monomial_closed, "2f1": cauchy_monomial_2f1}
+_PAIR_ROUTES = {
+    "closed": cauchy_zernike_closed,
+    "quad": cauchy_zernike_quad,
+    "direct": lambda p, z: cauchy_direct_2d(lambda w: eval_explicit(p, w), p.gamma, z),
+}
+
+
 def cmd_cauchy(ns) -> int:
     z = _parse_z(ns.z)
     has_mono = ns.monomial is not None
@@ -168,6 +187,9 @@ def cmd_cauchy(ns) -> int:
         _flag_error("specify exactly one of --monomial or --m/--n")
     if has_pair and (ns.m is None or ns.n is None):
         _flag_error("--m and --n go together")
+    routes = _MONOMIAL_ROUTES if has_mono else _PAIR_ROUTES
+    if ns.route not in routes:
+        _flag_error(f"--route {ns.route} needs {'--m/--n' if has_mono else '--monomial'}")
     if has_mono:
         parts = ns.monomial.split(",")
         if len(parts) != 3:
@@ -176,10 +198,9 @@ def cmd_cauchy(ns) -> int:
             p, q, k = (int(s) for s in parts)
         except ValueError:
             _flag_error(f"--monomial expects integers, got {ns.monomial!r}")
-        inp = CauchyInput(ns.gamma, z, monomial=(p, q, k))
+        v = routes[ns.route](p, q, k, ns.gamma, z)
     else:
-        inp = CauchyInput(ns.gamma, z, indices=(ns.m, ns.n))
-    v = cauchy_transform(inp, ns.route)
+        v = routes[ns.route](ZernikeParams(ns.m, ns.n, ns.gamma), z)
     print(_value_line(ns.route, v))
     return 0
 

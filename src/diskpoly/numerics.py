@@ -35,6 +35,10 @@ _INT_TOL = 1e-9
 # Relative tolerance of incomplete_beta's quadrature self-check.
 _BETA_CHECK_TOL = 1e-10
 
+# Stopping rule of a non-terminating 2F1 series: relative term size, term cap.
+_HYP2F1_TOL = 1e-15
+_HYP2F1_MAX_TERMS = 10**6
+
 
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1.
@@ -89,17 +93,16 @@ def _terminating_terms(k: int, a: float, b: float, c: float, x: float) -> list[f
     return terms
 
 
-def hyp2f1(a: float, b: float, c: float, x: float,
-           tol: float = 1e-15, max_terms: int = 10**6) -> float:
+def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; x) for real arguments.
 
     If a or b is within 1e-9 of a nonpositive integer the series terminates
     and is summed exactly (the offending parameter rounded to that integer);
     otherwise the power series is summed for |x| < 1 to relative tolerance
-    ``tol``.  Raises PoleAtCError if c hits a nonpositive integer before the
-    series terminates, NonConvergentError for a terminating sum whose terms
-    or total overflow, and for a non-terminating call with |x| >= 1 or one
-    exceeding ``max_terms``.
+    ``_HYP2F1_TOL``.  Raises PoleAtCError if c hits a nonpositive integer
+    before the series terminates, NonConvergentError for a terminating sum
+    whose terms or total overflow, and for a non-terminating call with
+    |x| >= 1 or one exceeding ``_HYP2F1_MAX_TERMS`` terms.
     """
     ka = _nonpos_int(a)
     kb = _nonpos_int(b)
@@ -118,16 +121,16 @@ def hyp2f1(a: float, b: float, c: float, x: float,
         raise NonConvergentError(f"2F1 series does not converge at |x| = {abs(x)} >= 1")
     acc = 1.0
     t = 1.0
-    for j in range(max_terms):
+    for j in range(_HYP2F1_MAX_TERMS):
         if abs(c + j) <= _INT_TOL:
             raise PoleAtCError(
                 f"denominator parameter c={c} hits a nonpositive integer at term {j + 1}"
             )
         t *= (a + j) * (b + j) / ((c + j) * (j + 1)) * x
         acc += t
-        if abs(t) <= tol * abs(acc):
+        if abs(t) <= _HYP2F1_TOL * abs(acc):
             return acc
-    raise NonConvergentError(f"2F1 series did not converge in {max_terms} terms")
+    raise NonConvergentError(f"2F1 series did not converge in {_HYP2F1_MAX_TERMS} terms")
 
 
 def jacobi_p(n: int, alpha: float, beta: float, x: float) -> float:
@@ -170,9 +173,6 @@ class QuadratureRule:
             raise DomainError("interval rule has nodes outside its open interval")
         if not np.all(self.weights > 0):
             raise DomainError("interval rule has nonpositive weights")
-
-    def integrate(self, f) -> float | complex:
-        return np.sum(self.weights * f(self.nodes))
 
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +217,8 @@ def gauss_jacobi_radial(n: int, gamma: float) -> QuadratureRule:
     Built by the Golub-Welsch method: the symmetric tridiagonal matrix of
     the monic Jacobi (alpha=gamma, beta=0) recurrence is diagonalized by
     ``numpy.linalg.eigh`` and the rule is mapped from (-1, 1) onto (0, 1).
-    Total weight is the exact moment 1/(gamma + 1).
+    Total weight is the exact moment 1/(gamma + 1).  No route in the
+    package calls it; ``inner_product`` sums exact beta moments instead.
     """
     n = _check_count(n, 1, "gauss_jacobi_radial node count")
     _check_weight(gamma)

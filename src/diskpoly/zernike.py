@@ -32,8 +32,7 @@ import numpy as np
 from . import algebra
 from .algebra import DiskExpr
 from .errors import DomainError, NonConvergentError, ParamMismatchError
-from .numerics import (_check_count, _check_weight, gauss_jacobi_radial, hyp2f1,
-                       jacobi_p, pochhammer)
+from .numerics import _check_count, _check_weight, hyp2f1, jacobi_p, pochhammer
 
 __all__ = [
     "ZernikeParams",
@@ -297,43 +296,22 @@ def monomial_coeffs(p: ZernikeParams) -> dict[tuple[int, int], float]:
     return {key: c for key, c in out.items() if c != 0.0}
 
 
-def inner_product(p1: ZernikeParams, p2: ZernikeParams,
-                  n_radial: int | None = None) -> float:
+def inner_product(p1: ZernikeParams, p2: ZernikeParams) -> float:
     """Weighted disk inner product <P1, P2> for the shared weight exponent.
 
-    The angular integral is exact either way: it vanishes unless the two
-    charges n - m agree, and otherwise collapses the 2D integral to a
-    radial one.  With ``n_radial`` given, that radial integral goes
-    through the Gauss rule for (1 - t)^gamma, which is exact for the
-    polynomial profile up to rounding.  The default path instead sums the
-    per-term beta moments over exact rationals (gamma is a rational
-    number once stored as a float) and rounds once at the end; the two
-    paths compute the same pairing, but the coefficient products reach
-    ~1e13 with heavy cancellation at indices around 5, where the float
-    path loses ~1e-11 of the norm product and the exact path loses
-    nothing.  No 2D grid is ever formed.
+    The angular integral is exact: it vanishes unless the two charges
+    n - m agree, and otherwise collapses the 2D integral to a radial one.
+    That radial integral sums the per-term beta moments over exact
+    rationals (gamma is a rational number once stored as a float) and
+    rounds once at the end, so the heavy cancellation among coefficient
+    products (~1e13 at indices around 5) costs nothing.  No 2D grid is
+    ever formed.
     """
     if p1.gamma != p2.gamma:
         raise ParamMismatchError(
             f"weight exponents differ: {p1.gamma:g} vs {p2.gamma:g}")
     if p1.n - p1.m != p2.n - p2.m:
         return 0.0
-    if n_radial is not None:
-        c1 = monomial_coeffs(p1)
-        c2 = monomial_coeffs(p2)
-        radial: dict[int, float] = {}
-        for (a1, b1), v1 in c1.items():
-            for (a2, b2), v2 in c2.items():
-                d = (a1 + b1 + a2 + b2) // 2
-                radial[d] = radial.get(d, 0.0) + v1 * v2
-        dmax = max(radial, default=0)
-        if 2 * n_radial - 1 < dmax:
-            raise DomainError(
-                f"{n_radial}-point radial rule cannot integrate degree {dmax} exactly")
-        rule = gauss_jacobi_radial(n_radial, p1.gamma)
-        moments = {d: float(np.sum(rule.weights * rule.nodes**d)) for d in radial}
-        return math.pi * math.fsum(radial[d] * moments[d] for d in radial)
-
     g = Fraction(p1.gamma)
     total = Fraction(0)
     for a1, b1, j1, v1 in _explicit_terms(p1.m, p1.n, g):

@@ -263,6 +263,36 @@ class TestPointContract:
         _, re_s, im_s = capsys.readouterr().out.strip().split(", ")
         assert math.isfinite(float(re_s)) and math.isfinite(float(im_s))
 
+class TestFiniteContract:
+    """A value that overflows to inf or NaN is a convergence error, not a
+    printed non-finite number with exit 0."""
+
+    BIG = ["--m", "64", "--n", "64", "--gamma", "1000", "--z", "0.3,0.2"]
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--method", "explicit"] + BIG,
+        ["eval", "--method", "gauss1"] + BIG,
+        ["eval", "--method", "jacobi"] + BIG,
+        ["eval", "--method", "contour"] + BIG,
+        ["eval", "--method", "all"] + BIG,
+        ["cauchy", "--route", "closed"] + BIG,
+    ])
+    def test_non_finite_value_exit_3(self, capsys, args):
+        rc = main(args)
+        out, err = capsys.readouterr()
+        assert _one_error_3(rc, err), (rc, out, err)
+        assert out == ""
+
+    def test_non_finite_table_cell_exit_3(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        rc = main(["table", "--m", "64", "--n", "64", "--gammas", "1000",
+                   "--r-steps", "1", "--theta-steps", "1", "--with-cauchy",
+                   "--out", str(out)])
+        assert _one_error_3(rc, capsys.readouterr().err)
+        assert out.read_text().splitlines() == [
+            "m,n,gamma,re_z,im_z,re_val,im_val,re_cauchy,im_cauchy"]
+
+
 class TestVerify:
     def test_report_written_and_green(self, capsys, tmp_path):
         out = tmp_path / "rep.json"
@@ -459,3 +489,15 @@ class TestCauchyCmd:
         with pytest.raises(SystemExit) as ei:
             main(["cauchy", "--gamma", "0", "--z", "0.5,0", "--monomial", "1,0"])
         assert ei.value.code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--m", "2", "--n", "1", "--route", "2f1"],
+        ["--monomial", "2,1,1", "--route", "quad"],
+        ["--monomial", "2,1,1", "--route", "direct"],
+    ])
+    def test_route_not_for_input_kind_exit_2(self, capsys, args):
+        with pytest.raises(SystemExit) as ei:
+            main(["cauchy", "--gamma", "0.5", "--z", "0.3,0.2"] + args)
+        assert ei.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR 2: ")

@@ -245,7 +245,7 @@ class TestGaussLegendre:
             for _ in range(10):
                 coeffs = rng.uniform(-1, 1, size=2 * n)
                 exact = sum(c * (2.0 / (k + 1)) for k, c in enumerate(coeffs) if k % 2 == 0)
-                got = rule.integrate(lambda x: np.polynomial.polynomial.polyval(x, coeffs))
+                got = np.sum(rule.weights * np.polynomial.polynomial.polyval(rule.nodes, coeffs))
                 scale = max(abs(exact), float(np.sum(np.abs(coeffs))))
                 assert abs(got - exact) <= 1e-13 * scale
 
@@ -308,8 +308,7 @@ class TestGaussJacobiRadial:
         # building a radial rule must not load any part of it
         code = ("import sys\n"
                 "import diskpoly, diskpoly.cli\n"
-                "p = diskpoly.ZernikeParams(3, 2, 0.5)\n"
-                "diskpoly.inner_product(p, p, n_radial=8)\n"
+                "diskpoly.gauss_jacobi_radial(8, 0.5)\n"
                 "print(sorted(m for m in sys.modules\n"
                 "             if m == 'scipy' or m.startswith('scipy.')))\n")
         src = Path(numerics.__file__).resolve().parents[1]
