@@ -17,6 +17,8 @@ residuals rather than assume either.
 
 import math
 
+import numpy as np
+
 from .algebra import add, max_abs_coeff, scale
 from .cauchy import (
     cauchy_direct_2d,
@@ -59,9 +61,10 @@ def normalized_deviation(a: complex, b: complex, s_param: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 0.1 * s_param, _TINY)
 
 
-def _worst(f, ref: dict, s: float, pts) -> float:
-    """Largest normalized deviation of f(z) from ref[z] over the points."""
-    return max(normalized_deviation(f(z), ref[z], s) for z in pts)
+def _worst(values, ref, s: float) -> float:
+    """Largest normalized deviation of a row's values from its reference
+    values, taken point by point in order."""
+    return max(normalized_deviation(a, b, s) for a, b in zip(values, ref, strict=True))
 
 
 def _grid(max_mn: int, gammas):
@@ -72,10 +75,10 @@ def _grid(max_mn: int, gammas):
                 yield ZernikeParams(m, n, g), f"gamma={g:g} m={m} n={n}"
 
 
-def _reference(p: ZernikeParams, pts) -> tuple[dict, float]:
+def _reference(p: ZernikeParams, pts) -> tuple[list, float]:
     """Explicit-route values at the points, and their largest magnitude S."""
-    ref = {z: eval_explicit(p, z) for z in pts}
-    return ref, max(abs(v) for v in ref.values())
+    ref = [eval_explicit(p, z) for z in pts]
+    return ref, max(abs(v) for v in ref)
 
 
 # ---------------------------------------------------------------- routes
@@ -83,13 +86,14 @@ def _reference(p: ZernikeParams, pts) -> tuple[dict, float]:
 def suite_routes(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     pts = disk_points(seed, 6, 0.95)
     pts_contour = disk_points(seed + 1, 6, 0.8)
+    zs_contour = np.array(pts_contour)
     rows = []
     for p, params in _grid(max_mn, gammas):
         ref, s = _reference(p, pts + pts_contour)
         for route in ("gauss1", "gauss2", "jacobi", "rodrigues"):
-            err = _worst(lambda z: eval_route(p, z, route), ref, s, pts)
+            err = _worst([eval_route(p, z, route) for z in pts], ref[:len(pts)], s)
             rows.append(checked_row(f"{route}_vs_explicit", params, err, 1e-9))
-        err = _worst(lambda z: eval_contour_adaptive(p, z), ref, s, pts_contour)
+        err = _worst(eval_contour_adaptive(p, zs_contour).tolist(), ref[len(pts):], s)
         rows.append(checked_row("contour_vs_explicit", params, err, 1e-9))
     return rows
 
@@ -120,14 +124,15 @@ def suite_orthogonality(max_mn: int, gammas, seed: int) -> list[ReportRow]:
 
 def suite_contour(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     pts = disk_points(seed + 2, 8, 0.8)
+    zs = np.array(pts)
     rows = []
     for p, params in _grid(max_mn, gammas):
         ref, s = _reference(p, pts)
         try:
-            err = _worst(lambda z: eval_contour_adaptive(p, z), ref, s, pts)
+            err = _worst(eval_contour_adaptive(p, zs).tolist(), ref, s)
         except NonConvergentError:
             err = INFORMATIONAL
-        fixed = _worst(lambda z: eval_contour(p, z, 512), ref, s, pts)
+        fixed = _worst(eval_contour(p, zs, 512).tolist(), ref, s)
         rows.append(checked_row("contour_adaptive_vs_explicit", params, err, 1e-10))
         rows.append(checked_row("contour_fixed512_vs_explicit", params, fixed, 1e-9))
     return rows
@@ -147,16 +152,16 @@ def suite_cauchy(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     for p, params in _grid(cap, gammas):
         if p.m == 0 or p.n == 0:
             continue
-        quad = {z: cauchy_zernike_quad(p, z) for z in pts}
-        s = max(abs(v) for v in quad.values())
-        err = _worst(lambda z: cauchy_zernike_closed(p, z), quad, s, pts)
+        quad = [cauchy_zernike_quad(p, z) for z in pts]
+        s = max(abs(v) for v in quad)
+        err = _worst([cauchy_zernike_closed(p, z) for z in pts], quad, s)
         same = "cauchy_shift_closed_vs_quad" if p.n <= p.m else "cauchy_shift_same_pattern"
         rows.append(checked_row(same, params, err, 1e-9))
         if p.n > p.m:
             g1 = p.gamma + 1.0
             swapped = ZernikeParams(p.n, p.m - 1, g1)
-            printed = _worst(lambda z: (1.0 - abs(z) ** 2) ** g1 * eval_explicit(swapped, z),
-                             quad, s, pts)
+            printed = _worst([(1.0 - abs(z) ** 2) ** g1 * eval_explicit(swapped, z)
+                              for z in pts], quad, s)
             rows.append(checked_row(
                 "cauchy_shift_swapped_pattern", params, printed, INFORMATIONAL))
 

@@ -20,6 +20,7 @@ sum from one kernel, cached per (m, n, gamma); none of the other five
 routes uses it.
 """
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -207,50 +208,122 @@ def eval_rodrigues(p: ZernikeParams, z: complex) -> complex:
     return algebra.eval_expr(rodrigues_expr(p), _check_disk(z))
 
 
-def _contour_sum(p: ZernikeParams, z: complex, n_nodes: int) -> tuple[complex, float]:
-    """One trapezoid pass; returns (value, L1 scale of the summand)."""
-    m, n, g = p.m, p.n, p.gamma
-    u = 1.0 - (z.real * z.real + z.imag * z.imag)
-    pref = -pochhammer(g + m + 1, n) * float(factorial(m)) * u**-g
+# Largest trapezoid node count of one contour pass; it bounds a pass's
+# time, and its memory together with _PASS_SIZE.
+MAX_NODES = 2**16
+# Summand entries built at once: a pass over many points runs in blocks.
+_PASS_SIZE = 2**18
+
+
+def _check_nodes(n_nodes, least: int, what: str) -> int:
+    """A node count checked as by _check_count, and at most MAX_NODES."""
+    n_nodes = _check_count(n_nodes, least, what)
+    if n_nodes > MAX_NODES:
+        raise DomainError(f"{what} must be at most {MAX_NODES}, got {n_nodes}")
+    return n_nodes
+
+
+@lru_cache(maxsize=32)
+def _roots_of_unity(n_nodes: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     t = np.exp(1j * theta)
-    vals = t ** (n + 1) * (1.0 - t * z.conjugate()) ** (g + m) / (z - t) ** (m + 1)
-    return pref * complex(np.mean(vals)), abs(pref) * float(np.mean(np.abs(vals)))
+    t.flags.writeable = False
+    return t
 
 
-def eval_contour(p: ZernikeParams, z: complex, n_nodes: int) -> complex:
+def _contour_sum(p: ZernikeParams, zs: np.ndarray,
+                 n_nodes: int) -> tuple[list[complex], list[float]]:
+    """One trapezoid pass at each point of the 1-D array zs; returns the
+    values and the L1 scales of the summand, one per point."""
+    m, n, g = p.m, p.n, p.gamma
+    t = _roots_of_unity(n_nodes)
+    tn = t ** (n + 1)
+    c = -pochhammer(g + m + 1, n) * float(factorial(m))
+    values, scales = [], []
+    step = max(1, _PASS_SIZE // n_nodes)
+    for i in range(0, len(zs), step):
+        zc = zs[i:i + step, None]
+        # an overflowing pass shows as a non-finite value, which the
+        # adaptive rule and the CLI reject; a numpy warning would only
+        # add a second line to the CLI's one-line error
+        with np.errstate(all="ignore"):
+            vals = tn * (1.0 - t * zc.conjugate()) ** (g + m) / (zc - t) ** (m + 1)
+            means = np.mean(vals, axis=1).tolist()
+            l1s = np.mean(np.abs(vals), axis=1).tolist()
+        for z, v, l1 in zip(zc[:, 0].tolist(), means, l1s):
+            # u**-g in Python floats: numpy's SIMD float pow can differ
+            # from libm's in the last bit
+            try:
+                pref = c * (1.0 - (z.real * z.real + z.imag * z.imag)) ** -g
+            except OverflowError:
+                raise NonConvergentError(
+                    f"contour prefactor overflows for (m={m}, n={n}, gamma={g:g}) "
+                    f"at z={z!r}") from None
+            values.append(pref * v)
+            scales.append(abs(pref) * l1)
+    return values, scales
+
+
+def _shaped(values: list[complex], z: complex | np.ndarray) -> complex | np.ndarray:
+    """The values in the shape of the input: a complex for a scalar z."""
+    if isinstance(z, np.ndarray):
+        return np.array(values, complex).reshape(z.shape)
+    return values[0]
+
+
+def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> complex | np.ndarray:
     """Boundary integral with a fixed number of trapezoid nodes.
 
     On |t| = 1 the two distance factors have equal modulus, so the summand
     never develops large cancellation; accuracy improves geometrically
-    like |z|^N.
+    like |z|^N.  ``z`` may be a scalar or an ndarray, as for
+    ``eval_explicit``; ``n_nodes`` lies in [16, MAX_NODES].
     """
-    z = _check_disk(z, strict=True)
-    value, _ = _contour_sum(p, z, _check_count(n_nodes, 16, "contour node count"))
-    return value
+    z = _check_disk(z, strict=True, arrays=True)
+    n_nodes = _check_nodes(n_nodes, 16, "contour node count")
+    values, _ = _contour_sum(p, np.ravel(z), n_nodes)
+    return _shaped(values, z)
 
 
-def eval_contour_adaptive(p: ZernikeParams, z: complex, rel_tol: float = 1e-10,
-                          start_nodes: int = 64, max_nodes: int = 2**16) -> complex:
+def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray, rel_tol: float = 1e-10,
+                          start_nodes: int = 64,
+                          max_nodes: int = MAX_NODES) -> complex | np.ndarray:
     """Double the trapezoid rule until two passes agree to rel_tol.
 
     Agreement is measured against the value, with a floor at the roundoff
-    scale of the node sum so exact-zero values converge too.  Raises
-    NonConvergentError if the cap is hit first.
+    scale of the node sum so exact-zero values converge too.  Each point
+    of an ndarray ``z`` doubles on its own: once its last two passes
+    agree it is done, so it gets the value a scalar call would give.
+    No pass exceeds ``max_nodes`` nodes.  Raises NonConvergentError if a
+    point is still moving at the last pass, or if a pass is not finite.
     """
-    z = _check_disk(z, strict=True)
-    n_nodes = max(16, _check_count(start_nodes, 1, "contour start node count"))
-    prev, _ = _contour_sum(p, z, n_nodes)
-    while n_nodes < max_nodes:
+    z = _check_disk(z, strict=True, arrays=True)
+    n_nodes = max(16, _check_nodes(start_nodes, 1, "contour start node count"))
+    max_nodes = _check_nodes(max_nodes, n_nodes, "contour max node count")
+    zs = np.ravel(z)
+    values = [0j] * zs.size
+    prev = {}  # point index -> its value at the last pass
+    todo = list(range(zs.size))
+    while todo:
+        cur, l1 = _contour_sum(p, zs[todo], n_nodes)
+        moving = []
+        for i, c, s in zip(todo, cur, l1):
+            if not cmath.isfinite(c):
+                raise NonConvergentError(
+                    f"contour pass at {n_nodes} nodes is not finite for (m={p.m}, "
+                    f"n={p.n}, gamma={p.gamma:g}) at z={complex(zs[i])!r}")
+            if i in prev and abs(c - prev[i]) <= max(rel_tol * abs(c), 1e-13 * s):
+                values[i] = c
+            else:
+                moving.append(i)
+            prev[i] = c
+        todo = moving
+        if todo and 2 * n_nodes > max_nodes:
+            raise NonConvergentError(
+                f"contour rule still moving at {n_nodes} nodes for (m={p.m}, n={p.n}, "
+                f"gamma={p.gamma:g}) at z={complex(zs[todo[0]])!r}")
         n_nodes *= 2
-        cur, l1 = _contour_sum(p, z, n_nodes)
-        if abs(cur - prev) <= max(rel_tol * abs(cur), 1e-13 * l1):
-            return cur
-        prev = cur
-    raise NonConvergentError(
-        f"contour rule still moving at {max_nodes} nodes for (m={p.m}, n={p.n}, "
-        f"gamma={p.gamma:g}) at z={z:g}"
-    )
+    return _shaped(values, z)
 
 
 ROUTES = ("explicit", "gauss1", "gauss2", "jacobi", "rodrigues", "contour")

@@ -8,6 +8,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +217,14 @@ class TestEvalErrorContract:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("ERROR 3: ")
 
+    @pytest.mark.parametrize("count", ["65537", "1000000000000000"])
+    def test_contour_node_count_above_cap_exit_3(self, capsys, count):
+        # the larger count once died allocating 7 PiB, with exit 1
+        rc = main(["eval", "--m", "2", "--n", "1", "--gamma", "0.5", "--z", "0.3,0.2",
+                   "--method", "contour", "--contour-nodes", count])
+        out, err = capsys.readouterr()
+        assert _one_error_3(rc, err), (rc, out, err)
+        assert "at most 65536" in err
 
 
 def _one_error_3(rc, err):
@@ -282,6 +294,25 @@ class TestFiniteContract:
         out, err = capsys.readouterr()
         assert _one_error_3(rc, err), (rc, out, err)
         assert out == ""
+
+    @pytest.mark.parametrize("args", [
+        BIG,
+        BIG[:6] + ["--z", "0.9,0"],
+        BIG[:6] + ["--z", "0.9,0", "--contour-nodes", "64"],
+        ["--m", "64", "--n", "64", "--gamma", "-0.99", "--z", "0.999999,0"],
+        ["--m", "64", "--n", "0", "--gamma", "1e300", "--z", "0.1,0"],
+    ], ids=["summand", "prefactor", "prefactor-fixed", "near-boundary", "huge-gamma"])
+    def test_overflowing_contour_one_stderr_line(self, args):
+        # in a fresh interpreter, so a numpy RuntimeWarning would reach
+        # stderr instead of pytest's warning capture
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys; from diskpoly.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "eval", "--method", "contour"] + args,
+            capture_output=True, text=True, env=env, timeout=120)
+        assert _one_error_3(proc.returncode, proc.stderr), (proc.returncode, proc.stderr)
+        assert proc.stdout == ""
 
     def test_non_finite_table_cell_exit_3(self, capsys, tmp_path):
         out = tmp_path / "t.csv"

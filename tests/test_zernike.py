@@ -7,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diskpoly import algebra
+from diskpoly import algebra, zernike
 from diskpoly.errors import DomainError, NonConvergentError, ParamMismatchError
 from diskpoly.numerics import pochhammer
 from diskpoly.sampling import disk_points
-from diskpoly.suites import normalized_deviation
+from diskpoly.suites import DEFAULT_GAMMAS, DEFAULT_SEED, normalized_deviation
 from diskpoly.zernike import (
+    MAX_NODES,
     ROUTES,
     ZernikeParams,
     _explicit_terms,
@@ -266,6 +267,107 @@ class TestContourNodeCount:
         assert eval_contour(self.P, self.Z, np.int64(128)) == want
         assert eval_contour_adaptive(self.P, self.Z, start_nodes=np.int32(64)) == \
             eval_contour_adaptive(self.P, self.Z)
+
+    def test_count_above_cap_rejected(self):
+        # a count of 10**15 once died allocating 7 PiB
+        for count in (MAX_NODES + 1, 10**15):
+            with pytest.raises(DomainError, match="at most"):
+                eval_contour(self.P, self.Z, count)
+            with pytest.raises(DomainError, match="at most"):
+                eval_contour_adaptive(self.P, self.Z, start_nodes=count)
+            with pytest.raises(DomainError, match="at most"):
+                eval_contour_adaptive(self.P, self.Z, max_nodes=count)
+        assert eval_contour(self.P, self.Z, MAX_NODES) == pytest.approx(
+            eval_explicit(self.P, self.Z), rel=1e-12)
+
+    def test_max_nodes_checked(self):
+        for bad in (2.5, 32):  # fractional, and below the start count 64
+            with pytest.raises(DomainError):
+                eval_contour_adaptive(self.P, self.Z, max_nodes=bad)
+
+    def test_no_pass_beyond_max_nodes(self, monkeypatch):
+        counts = []
+        real = zernike._contour_sum
+
+        def spy(p, z, n_nodes):
+            counts.append(n_nodes)
+            return real(p, z, n_nodes)
+
+        monkeypatch.setattr(zernike, "_contour_sum", spy)
+        with pytest.raises(NonConvergentError, match="at 64 nodes"):
+            eval_contour_adaptive(ZernikeParams(1, 1, 0.0), 0.97 + 0j, max_nodes=100)
+        assert counts == [64]
+
+
+class TestContourArrays:
+    """The contour routes on ndarrays give the scalar calls' values bit for
+    bit: every point of an adaptive call doubles on its own."""
+
+    PTS = disk_points(DEFAULT_SEED + 2, 8, 0.8)  # the contour suite's points
+
+    def test_arrays_equal_scalar_calls(self):
+        zs = np.array(self.PTS)
+        for g in DEFAULT_GAMMAS:
+            for m in range(5):
+                for n in range(5):
+                    p = ZernikeParams(m, n, g)
+                    assert eval_contour_adaptive(p, zs).tolist() == \
+                        [eval_contour_adaptive(p, z) for z in self.PTS], (m, n, g)
+                    assert eval_contour(p, zs, 512).tolist() == \
+                        [eval_contour(p, z, 512) for z in self.PTS], (m, n, g)
+
+    def test_blocked_pass_equals_scalar_calls(self, monkeypatch):
+        # two points per block at 512 nodes, one per block from 1024 on
+        monkeypatch.setattr(zernike, "_PASS_SIZE", 1024)
+        p = ZernikeParams(3, 1, 0.5)
+        zs = np.array(self.PTS[:7] + [0.79j])
+        want = [eval_contour_adaptive(p, z) for z in zs.tolist()]
+        assert eval_contour_adaptive(p, zs).tolist() == want
+        assert eval_contour(p, zs, 512).tolist() == \
+            [eval_contour(p, z, 512) for z in zs.tolist()]
+
+    def test_shapes(self):
+        p = ZernikeParams(2, 3, 1.0)
+        zs = np.array(self.PTS).reshape(2, 4)
+        for got in (eval_contour_adaptive(p, zs), eval_contour(p, zs, 128)):
+            assert isinstance(got, np.ndarray) and got.shape == (2, 4)
+            assert got.dtype == complex
+        for z in (0.3 - 0.2j, 0.4, np.complex128(0.3 - 0.2j), np.array(0.3 - 0.2j)):
+            assert type(eval_contour_adaptive(p, z)) is complex
+            assert type(eval_contour(p, z, 128)) is complex
+        empty = np.zeros((0, 3), complex)
+        assert eval_contour_adaptive(p, empty).shape == (0, 3)
+        assert eval_contour(p, empty, 64).shape == (0, 3)
+
+    def test_any_bad_point_rejected(self):
+        p = ZernikeParams(1, 1, 0.0)
+        for pts in (self.PTS[:3] + [complex(np.nan, 0.0)],
+                    [complex(0.0, np.nan)] + self.PTS[:3],
+                    self.PTS[:3] + [1.0],
+                    self.PTS[:3] + [0.6 + 0.9j]):
+            for shape in ((4,), (2, 2)):
+                zs = np.array(pts).reshape(shape)
+                with pytest.raises(DomainError, match="disk"):
+                    eval_contour_adaptive(p, zs)
+                with pytest.raises(DomainError, match="disk"):
+                    eval_contour(p, zs, 64)
+
+    def test_one_slow_point_fails_the_call(self):
+        p = ZernikeParams(1, 1, 0.0)
+        with pytest.raises(NonConvergentError, match=r"0\.97\+0j"):
+            eval_contour_adaptive(p, np.array(self.PTS[:3] + [0.97]), max_nodes=128)
+        # the message names the point in full, not rounded to 1+0j
+        with pytest.raises(NonConvergentError, match=r"0\.9999999\+0j"):
+            eval_contour_adaptive(p, np.array([0.1, 0.9999999]), max_nodes=128)
+
+    def test_overflow_is_a_convergence_error(self):
+        # the summand overflows at 0.3+0.2i, the prefactor u**-gamma at 0.9
+        p = ZernikeParams(64, 64, 1000.0)
+        for z in (0.3 + 0.2j, 0.9 + 0j, np.array([0.1, 0.9])):
+            with pytest.raises(NonConvergentError):
+                eval_contour_adaptive(p, z)
+        with pytest.raises(NonConvergentError):
+            eval_contour(p, 0.9 + 0j, 64)
 
 
 class TestRodriguesExpr:
