@@ -17,6 +17,7 @@ example).
 All operations return new expressions; nothing here mutates.
 """
 
+from functools import lru_cache
 from math import comb
 
 from .errors import DomainError, OffsetMismatchError, TooLargeError
@@ -38,22 +39,28 @@ __all__ = [
 TERM_CAP = 10**6
 
 
+@lru_cache(maxsize=256)
+def _signed_binomials(m: int) -> tuple:
+    """(i, C(m, i), (-1)^i) for i = 0..m: the expansion of (1 - u)^m."""
+    return tuple((i, comb(m, i), (-1) ** i) for i in range(m + 1))
+
+
 def _canonical(raw: dict) -> dict:
     """Reduce every key to min(a, b) = 0 via (z conj(z))^m = (1 - u)^m."""
     out: dict[tuple[int, int, int], complex] = {}
-    for (a, b, k), c in raw.items():
+    for key, c in raw.items():
+        a, b, k = key
         if c == 0:
             continue
         if a < 0 or b < 0:
             raise DomainError(f"negative monomial exponent in key ({a}, {b}, {k})")
-        m = min(a, b)
-        if m == 0:
-            key = (a, b, k)
+        if a == 0 or b == 0:
             out[key] = out.get(key, 0) + c
         else:
-            for i in range(m + 1):
+            m = a if a < b else b
+            for i, binom, sign in _signed_binomials(m):
                 key = (a - m, b - m, k + i)
-                out[key] = out.get(key, 0) + c * comb(m, i) * (-1) ** i
+                out[key] = out.get(key, 0) + c * binom * sign
     return {key: c for key, c in out.items() if c != 0}
 
 
@@ -69,9 +76,26 @@ class DiskExpr:
         canon = _canonical(raw)
         if len(canon) > TERM_CAP:
             raise TooLargeError(f"expression exceeds {TERM_CAP} terms")
+        self._settle(canon, base_offset)
+
+    @classmethod
+    def _from_canonical(cls, terms: dict, base_offset: float) -> "DiskExpr":
+        """Build from keys already in canonical form, skipping the reduction.
+
+        Zero coefficients are still dropped and every kept one becomes
+        ``0 + c``, exactly as ``_canonical`` leaves a key it sees once.
+        """
+        if len(terms) > TERM_CAP:
+            raise TooLargeError(f"expression exceeds {TERM_CAP} terms")
+        e = object.__new__(cls)
+        e._settle({key: 0 + c for key, c in terms.items() if c != 0}, base_offset)
+        return e
+
+    def _settle(self, canon: dict, base_offset: float):
+        """Store canonical terms, moving the smallest u-power into the offset."""
         g = float(base_offset)
         if canon:
-            kmin = min(k for (_, _, k) in canon)
+            kmin = min([key[2] for key in canon])
             if kmin != 0:
                 canon = {(a, b, k - kmin): c for (a, b, k), c in canon.items()}
                 g += kmin
@@ -139,24 +163,38 @@ def add(e1: DiskExpr, e2: DiskExpr) -> DiskExpr:
     t1, t2, g = _aligned(e1, e2)
     for key, c in t2.items():
         t1[key] = t1.get(key, 0) + c
-    return DiskExpr(t1, g)
+    return DiskExpr._from_canonical(t1, g)
 
 
 def scale(e: DiskExpr, c: complex) -> DiskExpr:
     if c == 0:
         return DiskExpr()
-    return DiskExpr({key: v * c for key, v in e.terms.items()}, e.base_offset)
+    return DiskExpr._from_canonical({key: v * c for key, v in e.terms.items()}, e.base_offset)
+
+
+def _is_u_power(e: DiskExpr) -> bool:
+    """True for a single term c u^g, which leaves the other factor's keys canonical."""
+    return len(e.terms) == 1 and (0, 0, 0) in e.terms
 
 
 def mul(e1: DiskExpr, e2: DiskExpr) -> DiskExpr:
     if len(e1.terms) * len(e2.terms) > TERM_CAP:
         raise TooLargeError("product would exceed the term cap")
+    g = e1.base_offset + e2.base_offset
+    # a c u^h factor shifts no key, so the product needs no reduction; each
+    # branch keeps the general loop's operand order c1 * c2
+    if _is_u_power(e2):
+        c2 = e2.terms[(0, 0, 0)]
+        return DiskExpr._from_canonical({key: c1 * c2 for key, c1 in e1.terms.items()}, g)
+    if _is_u_power(e1):
+        c1 = e1.terms[(0, 0, 0)]
+        return DiskExpr._from_canonical({key: c1 * c2 for key, c2 in e2.terms.items()}, g)
     out: dict[tuple[int, int, int], complex] = {}
     for (a1, b1, k1), c1 in e1.terms.items():
         for (a2, b2, k2), c2 in e2.terms.items():
             key = (a1 + a2, b1 + b2, k1 + k2)
             out[key] = out.get(key, 0) + c1 * c2
-    return DiskExpr(out, e1.base_offset + e2.base_offset)
+    return DiskExpr(out, g)
 
 
 def d_z(e: DiskExpr) -> DiskExpr:
@@ -237,7 +275,7 @@ def prune(e: DiskExpr, rel_tol: float = 1e-12) -> DiskExpr:
     if top == 0.0:
         return DiskExpr()
     kept = {key: c for key, c in e.terms.items() if abs(c) > rel_tol * top}
-    return DiskExpr(kept, e.base_offset)
+    return DiskExpr._from_canonical(kept, e.base_offset)
 
 
 def dump(e: DiskExpr) -> str:

@@ -18,7 +18,7 @@ from .cauchy import (cauchy_direct_2d, cauchy_monomial_2f1, cauchy_monomial_clos
 from .errors import DiskPolyError, NonConvergentError
 from .report import _f17, serialize
 from .suites import DEFAULT_GAMMAS, DEFAULT_SEED, SUITE_NAMES, run_suite
-from .zernike import ROUTES, ZernikeParams, eval_explicit, eval_route
+from .zernike import MAX_NODES, ROUTES, ZernikeParams, eval_explicit, eval_route
 
 __all__ = ["main"]
 
@@ -218,8 +218,9 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--z", required=True, help="point as 're,im'")
     p.add_argument("--method", required=True, choices=ROUTES + ("all",))
-    p.add_argument("--contour-nodes", type=int, default=None,
-                   help="fixed node count for the contour route")
+    p.add_argument("--contour-nodes", type=int, default=None, metavar="N",
+                   help=f"run the contour route as one pass of N nodes, an integer "
+                        f"from 16 to {MAX_NODES}, instead of its adaptive node rule")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run a verification suite and write a report")

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _U = DiskExpr.u_power(1.0)
+_U2 = mul(_U, _U)
 _Z = DiskExpr.z_power(1)
 _ZBAR = DiskExpr.zbar_power(1)
 _ZZBAR = DiskExpr({(1, 1, 0): 1.0})
@@ -75,7 +76,7 @@ def nabla_star(alpha: float, e: DiskExpr) -> DiskExpr:
 
 
 def magnetic_laplacian(nu: float, e: DiskExpr) -> DiskExpr:
-    mixed = scale(mul(mul(_U, _U), d_z(d_zbar(e))), -1.0)
+    mixed = scale(mul(_U2, d_z(d_zbar(e))), -1.0)
     drift = add(mul(_Z, d_z(e)), scale(mul(_ZBAR, d_zbar(e)), -1.0))
     drift = scale(mul(_U, drift), -nu)
     potential = scale(mul(_ZZBAR, e), nu * nu)

@@ -374,7 +374,12 @@ def inner_product(p1: ZernikeParams, p2: ZernikeParams) -> float:
 
     The angular integral is exact: it vanishes unless the two charges
     n - m agree, and otherwise collapses the 2D integral to a radial one.
-    That radial integral sums the per-term beta moments over exact
+    On the shared charge line the pair of terms j1, j2 has the beta moment
+    <z^a1 zb^b1 u^j1, z^a2 zb^b2 u^j2> = pi D! / (gamma+J+1)_{D+1} with
+    J = j1 + j2 and D = (m1+n1+m2+n2)/2 - J, so the moment depends on J
+    alone.  The sum is therefore grouped by J: the two coefficient lists
+    are convolved first, and each J then takes one moment, so there are
+    O(n1 + n2) moments instead of O(n1 n2).  Everything runs over exact
     rationals (gamma is a rational number once stored as a float) and
     rounds once at the end, so the heavy cancellation among coefficient
     products (~1e13 at indices around 5) costs nothing.  No 2D grid is
@@ -386,13 +391,21 @@ def inner_product(p1: ZernikeParams, p2: ZernikeParams) -> float:
     if p1.n - p1.m != p2.n - p2.m:
         return 0.0
     g = Fraction(p1.gamma)
+    t1 = _explicit_terms(p1.m, p1.n, g)
+    t2 = _explicit_terms(p2.m, p2.n, g)
+    # term j of the explicit sum carries u^j, so J indexes the convolution
+    conv = [0] * (len(t1) + len(t2) - 1)
+    for _, _, j1, v1 in t1:
+        for _, _, j2, v2 in t2:
+            conv[j1 + j2] += v1 * v2
+    # D = half - J; the moment's (g+J+1)_{D+1} is (g+J+1) times the one
+    # at J + 1, so the rising factorials are built from the top J down
+    half = (p1.m + p1.n + p2.m + p2.n) // 2
+    rising = pochhammer(g + len(conv) + 1, half - len(conv) + 1)
     total = Fraction(0)
-    for a1, b1, j1, v1 in _explicit_terms(p1.m, p1.n, g):
-        for a2, b2, j2, v2 in _explicit_terms(p2.m, p2.n, g):
-            # <z^a1 zb^b1 u^j1, z^a2 zb^b2 u^j2> = pi B(D+1, gamma+J+1)
-            # on the shared charge line, with t = r^2
-            d = (a1 + b1 + a2 + b2) // 2
-            total += v1 * v2 * factorial(d) / pochhammer(g + j1 + j2 + 1, d + 1)
+    for J in reversed(range(len(conv))):
+        rising *= g + J + 1
+        total += conv[J] * factorial(half - J) / rising
     return math.pi * float(total)
 
 

@@ -250,3 +250,120 @@ def test_leibniz_property(raw1, raw2, g):
     rhs = add(mul(d_z(e1), e2), mul(e1, d_z(e2)))
     tol = 1e-12 * max(max_abs_coeff(lhs), 1.0)
     assert equal(lhs, rhs, tol=tol)
+
+
+# add, scale, prune and a mul by a single u-power term never take a key out
+# of canonical form, so they skip the reduction; each must still build
+# exactly what the generic constructor builds from the same raw dict.
+
+parts = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+any_coeffs = st.one_of(
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+    st.builds(complex, parts, parts),
+    st.fractions(-4, 4, max_denominator=12),
+)
+any_offsets = st.one_of(st.integers(-2, 3), st.sampled_from([0.5, -0.25, 1.75, 2.0]))
+canonical_exprs = st.builds(DiskExpr, st.dictionaries(keys, any_coeffs, max_size=6),
+                            any_offsets)
+u_powers = st.builds(lambda c, g: DiskExpr({(0, 0, 0): c}, g), any_coeffs, any_offsets)
+factors = st.one_of(canonical_exprs, u_powers)
+
+
+def _bits(c):
+    if isinstance(c, complex):
+        return ("complex", c.real.hex(), c.imag.hex())
+    if isinstance(c, float):
+        return ("float", c.hex())
+    return (type(c).__name__, c)
+
+
+def assert_same(got, want):
+    """Terms in order, each by type and exact bits, and the offset."""
+    assert [(k, _bits(c)) for k, c in got.terms.items()] == \
+        [(k, _bits(c)) for k, c in want.terms.items()]
+    assert _bits(got.base_offset) == _bits(want.base_offset)
+
+
+def _shifted(e, s):
+    return {(a, b, k + s): c for (a, b, k), c in e.terms.items()}
+
+
+@given(canonical_exprs, st.dictionaries(keys, any_coeffs, max_size=6), st.integers(-2, 2))
+@settings(max_examples=100, deadline=None)
+def test_add_matches_generic(e1, raw2, shift):
+    e2 = DiskExpr(raw2, e1.base_offset + shift)
+    if not e1.terms or not e2.terms:
+        t1, t2 = dict(e1.terms), dict(e2.terms)
+        g = e1.base_offset if e1.terms else e2.base_offset
+    elif e1.base_offset >= e2.base_offset:
+        s = round(e1.base_offset - e2.base_offset)
+        t1, t2, g = _shifted(e1, s), dict(e2.terms), e2.base_offset
+    else:
+        s = round(e2.base_offset - e1.base_offset)
+        t1, t2, g = dict(e1.terms), _shifted(e2, s), e1.base_offset
+    for key, c in t2.items():
+        t1[key] = t1.get(key, 0) + c
+    assert_same(add(e1, e2), DiskExpr(t1, g))
+
+
+@given(canonical_exprs, any_coeffs)
+@settings(max_examples=100, deadline=None)
+def test_scale_matches_generic(e, c):
+    want = DiskExpr() if c == 0 else DiskExpr({k: v * c for k, v in e.terms.items()},
+                                              e.base_offset)
+    assert_same(scale(e, c), want)
+
+
+@given(factors, factors)
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_generic(e1, e2):
+    out = {}
+    for (a1, b1, k1), c1 in e1.terms.items():
+        for (a2, b2, k2), c2 in e2.terms.items():
+            key = (a1 + a2, b1 + b2, k1 + k2)
+            out[key] = out.get(key, 0) + c1 * c2
+    assert_same(mul(e1, e2), DiskExpr(out, e1.base_offset + e2.base_offset))
+
+
+@given(canonical_exprs)
+@settings(max_examples=100, deadline=None)
+def test_derivatives_match_generic(e):
+    g = e.base_offset
+    out_z, out_zbar = {}, {}
+    for (a, b, k), c in e.terms.items():
+        q = g + k
+        if a:
+            out_z[(a - 1, b, k + 1)] = out_z.get((a - 1, b, k + 1), 0) + c * a
+        if q:
+            out_z[(a, b + 1, k)] = out_z.get((a, b + 1, k), 0) - c * q
+        if b:
+            out_zbar[(a, b - 1, k + 1)] = out_zbar.get((a, b - 1, k + 1), 0) + c * b
+        if q:
+            out_zbar[(a + 1, b, k)] = out_zbar.get((a + 1, b, k), 0) - c * q
+    assert_same(d_z(e), DiskExpr(out_z, g - 1))
+    assert_same(d_zbar(e), DiskExpr(out_zbar, g - 1))
+
+
+@given(canonical_exprs, st.sampled_from([1e-12, 0.1, 0.5, 0.9]))
+@settings(max_examples=100, deadline=None)
+def test_prune_matches_generic(e, rel_tol):
+    top = max_abs_coeff(e)
+    kept = {k: c for k, c in e.terms.items() if abs(c) > rel_tol * top}
+    want = DiskExpr() if top == 0.0 else DiskExpr(kept, e.base_offset)
+    assert_same(prune(e, rel_tol), want)
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, -2, 3), (2, -1, 0), (-1, 3, 1)])
+def test_negative_exponent_still_rejected(key):
+    # (0, -1, 0) takes the branch for keys already in canonical form
+    with pytest.raises(DomainError):
+        DiskExpr({key: 1.0})
+
+
+def test_term_cap_on_the_canonical_path(monkeypatch):
+    monkeypatch.setattr("diskpoly.algebra.TERM_CAP", 2)
+    e1 = DiskExpr({(1, 0, 0): 1.0, (2, 0, 0): 1.0})
+    e2 = DiskExpr({(0, 1, 0): 1.0, (0, 2, 0): 1.0})
+    with pytest.raises(TooLargeError):
+        add(e1, e2)

@@ -195,6 +195,13 @@ class TestEval:
         ref = eval_explicit(ZernikeParams(2, 1, 0.5), complex(0.3, 0.1))
         assert complex(float(re_s), float(im_s)) == pytest.approx(ref, rel=1e-10)
 
+    def test_contour_nodes_help_gives_range(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["eval", "--help"])
+        assert ei.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "from 16 to 65536" in text and "adaptive node rule" in text
+
 
 class TestEvalErrorContract:
     """Commands that once died with an uncaught exception at the index cap.

@@ -449,6 +449,44 @@ class TestInnerProducts:
         with pytest.raises(ParamMismatchError):
             inner_product(ZernikeParams(1, 1, 0.5), ZernikeParams(1, 1, 0.6))
 
+    @staticmethod
+    def _naive_terms(m, n, g):
+        """Exact explicit-sum terms (z-power, zbar-power, u-power, coefficient)."""
+        out = []
+        for j in range(min(m, n) + 1):
+            rising = math.prod((g + j + 1 + i for i in range(m + n - j)), start=Fraction(1))
+            out.append((n - j, m - j, j,
+                        (-1) ** j * math.comb(m, j) * math.comb(n, j) * math.factorial(j) * rising))
+        return out
+
+    @staticmethod
+    def _naive_sum(g, terms1, terms2):
+        """Exact radial sum, one beta moment per pair of terms."""
+        total = Fraction(0)
+        for a1, b1, j1, v1 in terms1:
+            for a2, b2, j2, v2 in terms2:
+                d = (a1 + b1 + a2 + b2) // 2
+                rising = math.prod((g + j1 + j2 + 1 + i for i in range(d + 1)), start=Fraction(1))
+                total += v1 * v2 * math.factorial(d) / rising
+        return total
+
+    @pytest.mark.parametrize("g", [-0.5, 0.0, 1 / 3, 2.5, 2.718281828])
+    def test_grouped_sum_is_bit_identical_to_naive(self, g):
+        # grouping the pairs by J = j1 + j2 reorders an exact sum, so the
+        # single rounding at the end must see the same rational
+        idx = [(m, n) for m in range(9) for n in range(9)]
+        pairs = [(a, b) for i, a in enumerate(idx) for b in idx[i:]
+                 if a[1] - a[0] == b[1] - b[0]]
+        exact = Fraction(g)
+        terms = {mn: self._naive_terms(*mn, exact) for mn in idx}
+        for a, b in pairs:
+            want = math.pi * float(self._naive_sum(exact, terms[a], terms[b]))
+            got = inner_product(ZernikeParams(*a, g), ZernikeParams(*b, g))
+            assert got.hex() == want.hex(), (a, b)
+
+    def test_differing_charges_give_zero(self):
+        assert inner_product(ZernikeParams(3, 5, 1 / 3), ZernikeParams(4, 5, 1 / 3)) == 0.0
+
     def test_norm_against_direct_2d_grid(self):
         # crude polar-grid oracle; loose tolerance, just anchors the scale
         p = ZernikeParams(2, 1, 0.0)
