@@ -75,15 +75,20 @@ def cauchy_monomial_2f1(p: int, q: int, k: int, gamma: float, z: complex) -> com
     return -z ** q * z.conjugate() ** (p + 1) / (p + 1) * u ** (gamma + 1 + k) * f
 
 
-def cauchy_zernike_closed(p: ZernikeParams, z: complex) -> complex:
+def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
     """Closed form on the polynomial family: u^(gamma+1) times the member
     at (m, n-1) for weight exponent gamma+1.  Needs n >= 1 (the transform
-    of an anti-holomorphic member leaves the polynomial family)."""
+    of an anti-holomorphic member leaves the polynomial family).
+
+    ``z`` may be a scalar, which gives a Python complex, or an ndarray of
+    points in the closed disk, which gives a complex array of its shape.
+    """
     if p.n == 0:
         raise NZeroError(
             f"no closed polynomial form at n = 0 (indices ({p.m}, {p.n}))")
-    z = _check_disk(z)
-    u = max(1.0 - (z.real * z.real + z.imag * z.imag), 0.0)
+    z = _check_disk(z, arrays=True)
+    u = 1.0 - (z.real * z.real + z.imag * z.imag)
+    u = np.maximum(u, 0.0) if isinstance(z, np.ndarray) else max(u, 0.0)
     shifted = ZernikeParams(p.m, p.n - 1, p.gamma + 1.0)
     return u ** (p.gamma + 1.0) * eval_explicit(shifted, z)
 

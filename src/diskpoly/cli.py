@@ -12,6 +12,9 @@ import cmath
 import csv
 import math
 import sys
+from itertools import repeat
+
+import numpy as np
 
 from .cauchy import (cauchy_direct_2d, cauchy_monomial_2f1, cauchy_monomial_closed,
                      cauchy_zernike_closed, cauchy_zernike_quad)
@@ -118,17 +121,44 @@ def cmd_verify(ns) -> int:
 
 # ----------------------------------------------------------------- table
 
+def _parts(values: np.ndarray) -> list[list[str]]:
+    """The real and the imaginary parts of a complex array as cells."""
+    return [list(map(_f17, part.tolist())) for part in (values.real, values.imag)]
+
+
+def _quad_column(p, values: np.ndarray, points) -> np.ndarray:
+    """The n = 0 transform column, point by point, checking each row's
+    value and then its transform before the next row is computed."""
+    column = []
+    for v, z in zip(values.tolist(), points):
+        _finite(v)
+        column.append(_finite(cauchy_zernike_quad(p, z)))
+    return np.array(column, complex)
+
+
 def _table_rows(ns, params, points):
-    """Yield the finished cells of each table row, one row at a time."""
+    """Yield the finished cells of each table row, one (m, n, gamma) block
+    over the whole grid at a time.
+
+    Each column of a block is one array call; the n = 0 transform column
+    has no closed form and is computed point by point.  A block yields no
+    row unless all its cells are finite, and the error names the first
+    non-finite cell in row order, value before transform.
+    """
+    zs = np.array(points, complex)
+    coords = _parts(zs)
     for p in params:
-        for z in points:
-            v = _finite(eval_explicit(p, z))
-            row = [p.gamma, z.real, z.imag, v.real, v.imag]
+        with np.errstate(all="ignore"):
+            cols = [eval_explicit(p, zs)]
             if ns.with_cauchy:
-                c = _finite(cauchy_zernike_closed(p, z) if p.n >= 1
-                            else cauchy_zernike_quad(p, z))
-                row.extend([c.real, c.imag])
-            yield [str(p.m), str(p.n)] + [_f17(x) for x in row]
+                cols.append(cauchy_zernike_closed(p, zs) if p.n >= 1 else
+                            _quad_column(p, cols[0], points))
+        if not all(np.isfinite(c).all() for c in cols):
+            for row in zip(*cols):
+                for v in row:
+                    _finite(complex(v))
+        head = repeat(str(p.m)), repeat(str(p.n)), repeat(_f17(p.gamma))
+        yield from zip(*head, *coords, *(part for c in cols for part in _parts(c)))
 
 
 def cmd_table(ns) -> int:

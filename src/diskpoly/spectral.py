@@ -15,6 +15,7 @@ rescaling by a u-power carries them onto the disk polynomial family.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import algebra
 from .algebra import DiskExpr, add, d_z, d_zbar, max_abs_coeff, mul, scale
@@ -92,8 +93,13 @@ def gamma_equivalent(nu: float, m: int) -> float:
     return 2 * (nu - m) - 1
 
 
+# bounded: eigen_residual and bridge_pair each ask for the same level in turn
+@lru_cache(maxsize=32)
 def psi(sp: SpectralParams) -> DiskExpr:
-    """Level-m eigenfunction: m ladder steps up from z^n u^(nu - m)."""
+    """Level-m eigenfunction: m ladder steps up from z^n u^(nu - m).
+
+    Cached per level; the result is immutable, so callers share it.
+    """
     e = mul(DiskExpr.z_power(sp.n), DiskExpr.u_power(sp.nu - sp.m))
     for j in range(sp.m, 0, -1):
         e = nabla(sp.nu - j, e)

@@ -22,6 +22,7 @@ from diskpoly import (
     eval_explicit,
 )
 from diskpoly.sampling import disk_points
+from diskpoly.suites import DEFAULT_GAMMAS, normalized_deviation
 
 Z0 = 0.35 - 0.55j
 U0 = 1.0 - abs(Z0) ** 2
@@ -253,3 +254,47 @@ def test_2f1_route_at_subnormal_radius():
     for z in (1e-160 + 0j, 1e-160j):
         v = cauchy_monomial_2f1(2, 1, 1, 0.5, z)
         assert v == cauchy_monomial_closed(2, 1, 1, 0.5, z) == 0
+
+
+class TestClosedArrays:
+    """The closed form on ndarrays: the scalar calls' values to rounding,
+    and the scalar path's types and errors."""
+
+    # interior points, the origin and the rim, where u is clamped at 0
+    PTS = disk_points(7010, 12, 0.95) + [0j, 1.0, -1j, complex(0.6, 0.8)]
+
+    def test_arrays_match_scalar_calls(self):
+        zs = np.array(self.PTS)
+        for g in DEFAULT_GAMMAS:
+            for m in range(9):
+                for n in range(1, 9):
+                    p = ZernikeParams(m, n, g)
+                    want = [cauchy_zernike_closed(p, z) for z in self.PTS]
+                    s = max(abs(w) for w in want)
+                    got = cauchy_zernike_closed(p, zs).tolist()
+                    assert max(map(normalized_deviation, got, want, [s] * len(want))) \
+                        <= 1e-13, (m, n, g)
+
+    def test_shapes_and_scalar_types(self):
+        p = ZernikeParams(2, 3, 1.0)
+        zs = np.array(self.PTS).reshape(4, 4)
+        got = cauchy_zernike_closed(p, zs)
+        assert isinstance(got, np.ndarray) and got.shape == (4, 4)
+        assert got.dtype == complex
+        assert cauchy_zernike_closed(p, np.zeros((0, 3), complex)).shape == (0, 3)
+        for z in (0.3 - 0.2j, 0.4, np.complex128(0.3 - 0.2j), np.array(0.3 - 0.2j)):
+            assert type(cauchy_zernike_closed(p, z)) is complex
+
+    def test_any_bad_point_rejected(self):
+        p = ZernikeParams(2, 1, 0.5)
+        for pts in (self.PTS[:3] + [complex(math.nan, 0.0)],
+                    [complex(0.0, math.nan)] + self.PTS[:3],
+                    self.PTS[:3] + [0.6 + 0.9j],
+                    [1.001] + self.PTS[:3]):
+            for shape in ((4,), (2, 2)):
+                with pytest.raises(DomainError, match="disk"):
+                    cauchy_zernike_closed(p, np.array(pts).reshape(shape))
+
+    def test_n_zero_array_rejected(self):
+        with pytest.raises(NZeroError):
+            cauchy_zernike_closed(ZernikeParams(2, 0, 0.5), np.array(self.PTS))

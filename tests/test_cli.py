@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diskpoly import DomainError, NonConvergentError, ZernikeParams, cli, eval_explicit, pochhammer
@@ -321,6 +322,27 @@ class TestFiniteContract:
         assert _one_error_3(proc.returncode, proc.stderr), (proc.returncode, proc.stderr)
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("args", [
+        ["--r-steps", "1", "--theta-steps", "1"],
+        [],
+        # the value overflows before the point-by-point transform stalls
+        ["--n", "0", "--gammas", "1e300", "--r-steps", "1", "--theta-steps", "2"],
+    ], ids=["one-point", "grid", "n0-column"])
+    def test_overflowing_table_one_stderr_line(self, tmp_path, args):
+        # the table's array blocks, in a fresh interpreter as above
+        out = tmp_path / "t.csv"
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys; from diskpoly.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "table", "--m", "64", "--n", "64",
+             "--gammas", "1000", "--with-cauchy", "--out", str(out)] + args,
+            capture_output=True, text=True, env=env, timeout=120)
+        assert _one_error_3(proc.returncode, proc.stderr), (proc.returncode, proc.stderr)
+        assert "value is not finite" in proc.stderr
+        assert out.read_text().splitlines() == [
+            "m,n,gamma,re_z,im_z,re_val,im_val,re_cauchy,im_cauchy"]
+
     def test_non_finite_table_cell_exit_3(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
         rc = main(["table", "--m", "64", "--n", "64", "--gammas", "1000",
@@ -436,11 +458,42 @@ class TestTable:
             return eval_explicit(p, z)
 
         monkeypatch.setattr(cli, "eval_explicit", flaky)
-        assert main(["table", "--m", "1", "--n", "1", "--out", str(out)]) == 3
+        # one call per (m, n, gamma) block, so three blocks
+        assert main(["table", "--m", "1", "--n", "1", "--gammas", "0,0.5,1",
+                     "--out", str(out)]) == 3
         assert len(calls) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR 3: ")
         assert set(tmp_path.iterdir()) <= {out}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_byte_identical_reruns(self, capsys, tmp_path, fmt):
+        paths = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        for path in paths:
+            assert main(["table", "--m", "0:3", "--n", "0:3", "--gammas=-0.5,0,2.5",
+                         "--r-steps", "3", "--theta-steps", "8", "--with-cauchy",
+                         "--format", fmt, "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(paths[0].read_bytes()) > 10000
+
+    @pytest.mark.parametrize("bad, want", [
+        ({(1, 1): math.inf, (2, 0): math.nan}, "inf, 0.0"),
+        ({(1, 1): math.inf, (1, 0): math.nan}, "nan, 0.0"),
+        ({(3, 0): complex(3.0, math.inf)}, "3.0, inf"),
+    ], ids=["row-order", "value-first", "imag-part"])
+    def test_first_non_finite_cell_named(self, capsys, tmp_path, monkeypatch, bad, want):
+        # the error names the first non-finite cell in row order, value
+        # before transform, and the block writes no row
+        cols = [np.arange(4, dtype=complex), np.arange(4, dtype=complex)]
+        for (row, col), v in bad.items():
+            cols[col][row] = v
+        monkeypatch.setattr(cli, "eval_explicit", lambda p, z: cols[0])
+        monkeypatch.setattr(cli, "cauchy_zernike_closed", lambda p, z: cols[1])
+        out = tmp_path / "t.csv"
+        assert main(["table", "--m", "1", "--n", "1", "--r-steps", "1",
+                     "--theta-steps", "4", "--with-cauchy", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"ERROR 3: value is not finite: {want}\n"
+        assert len(out.read_text().splitlines()) == 1
 
     def test_out_symlink_written_through(self, capsys, tmp_path):
         target = tmp_path / "target.csv"

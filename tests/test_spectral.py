@@ -129,3 +129,25 @@ class TestBridge:
             tol = 1e-10 * max(max_abs_coeff(lhs), 1.0)
             assert equal(lhs, rhs, tol=tol), (nu, m, n)
             assert set(lhs.terms) == set(rhs.terms), (nu, m, n)
+
+
+class TestPsiCache:
+    def _same(self, a: DiskExpr, b: DiskExpr) -> bool:
+        return a.base_offset == b.base_offset and list(a.terms.items()) == list(b.terms.items())
+
+    def test_second_call_returns_the_same_object(self):
+        sp = SpectralParams(2.5, 1, 3)
+        assert psi(sp) is psi(sp)
+        assert psi(SpectralParams(2.5, 1, 3)) is psi(sp)
+
+    def test_cached_results_match_fresh_builds(self):
+        for nu, m, n in [(2.5, 1, 0), (6.0, 4, 4), (3.0, 2, 3)]:
+            sp = SpectralParams(nu, m, n)
+            assert self._same(psi(sp), psi.__wrapped__(sp))
+            psi.cache_clear()
+            cold_res, cold_pair = eigen_residual(sp), bridge_pair(sp)
+            # the second pair of calls is served psi from the cache
+            warm_res, warm_pair = eigen_residual(sp), bridge_pair(sp)
+            assert psi.cache_info().hits >= 2
+            assert warm_res == cold_res
+            assert all(self._same(a, b) for a, b in zip(warm_pair, cold_pair))
