@@ -293,6 +293,12 @@ def _beta_closed(a: float, b: float, x: float) -> float:
     return (x**a / a) * (1 - x) ** b * hyp2f1(1.0, a + b, a + 1.0, x)
 
 
+# Memoised: the monomial Cauchy route asks for the same few hundred
+# integrals thousands of times per verify pass.  typed, as gauss_legendre's
+# cache: an int argument and the equal float are separate keys, so every
+# call returns what it would return uncached.  A call that raises is not
+# cached, so it raises again when repeated.
+@lru_cache(maxsize=4096, typed=True)
 def incomplete_beta(a: float, b: float, x: float, side: str = "lower") -> float:
     """Incomplete beta integral of t^(a-1)(1-t)^(b-1) over [0,x] or [x,1].
 
@@ -301,6 +307,7 @@ def incomplete_beta(a: float, b: float, x: float, side: str = "lower") -> float:
     cross-checked against composite Gauss quadrature of the defining
     integral; disagreement beyond ``_BETA_CHECK_TOL`` (relative) raises
     NonConvergentError since it signals a defect in one of the routes.
+    The check runs once per distinct argument: results are memoised.
     Needs a > 0 and b > -1 (b > 0 when the t=1 endpoint is involved).
     """
     if side not in ("lower", "upper"):

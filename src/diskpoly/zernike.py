@@ -231,16 +231,33 @@ def _roots_of_unity(n_nodes: int) -> np.ndarray:
     return t
 
 
-def _contour_sum(p: ZernikeParams, zs: np.ndarray,
-                 n_nodes: int) -> tuple[list[complex], list[float]]:
-    """One trapezoid pass at each point of the 1-D array zs; returns the
-    values and the L1 scales of the summand, one per point."""
+def _contour_prefactors(p: ZernikeParams, zs: np.ndarray) -> list[float]:
+    """The prefactor -(gamma+m+1)_n m! u^-gamma at each point of the 1-D
+    array zs."""
     m, n, g = p.m, p.n, p.gamma
-    t = _roots_of_unity(n_nodes)
-    tn = t ** (n + 1)
     c = -pochhammer(g + m + 1, n) * float(factorial(m))
-    values, scales = [], []
-    step = max(1, _PASS_SIZE // n_nodes)
+    prefs = []
+    for z in zs.tolist():
+        # u**-g in Python floats: numpy's SIMD float pow can differ
+        # from libm's in the last bit
+        try:
+            prefs.append(c * (1.0 - (z.real * z.real + z.imag * z.imag)) ** -g)
+        except OverflowError:
+            raise NonConvergentError(
+                f"contour prefactor overflows for (m={m}, n={n}, gamma={g:g}) "
+                f"at z={z!r}") from None
+    return prefs
+
+
+def _contour_sum(p: ZernikeParams, zs: np.ndarray,
+                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over the nodes t of the summand and of its modulus, one of each
+    per point of the 1-D array zs; the prefactor is left out."""
+    m, n, g = p.m, p.n, p.gamma
+    tn = t ** (n + 1)
+    sums = np.empty(len(zs), complex)
+    mods = np.empty(len(zs))
+    step = max(1, _PASS_SIZE // len(t))
     for i in range(0, len(zs), step):
         zc = zs[i:i + step, None]
         # an overflowing pass shows as a non-finite value, which the
@@ -248,20 +265,9 @@ def _contour_sum(p: ZernikeParams, zs: np.ndarray,
         # add a second line to the CLI's one-line error
         with np.errstate(all="ignore"):
             vals = tn * (1.0 - t * zc.conjugate()) ** (g + m) / (zc - t) ** (m + 1)
-            means = np.mean(vals, axis=1).tolist()
-            l1s = np.mean(np.abs(vals), axis=1).tolist()
-        for z, v, l1 in zip(zc[:, 0].tolist(), means, l1s):
-            # u**-g in Python floats: numpy's SIMD float pow can differ
-            # from libm's in the last bit
-            try:
-                pref = c * (1.0 - (z.real * z.real + z.imag * z.imag)) ** -g
-            except OverflowError:
-                raise NonConvergentError(
-                    f"contour prefactor overflows for (m={m}, n={n}, gamma={g:g}) "
-                    f"at z={z!r}") from None
-            values.append(pref * v)
-            scales.append(abs(pref) * l1)
-    return values, scales
+            sums[i:i + step] = vals.sum(axis=1)
+            mods[i:i + step] = np.abs(vals).sum(axis=1)
+    return sums, mods
 
 
 def _shaped(values: list[complex], z: complex | np.ndarray) -> complex | np.ndarray:
@@ -281,8 +287,10 @@ def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> com
     """
     z = _check_disk(z, strict=True, arrays=True)
     n_nodes = _check_nodes(n_nodes, 16, "contour node count")
-    values, _ = _contour_sum(p, np.ravel(z), n_nodes)
-    return _shaped(values, z)
+    zs = np.ravel(z)
+    prefs = _contour_prefactors(p, zs)
+    sums, _ = _contour_sum(p, zs, _roots_of_unity(n_nodes))
+    return _shaped([c * v for c, v in zip(prefs, (sums / n_nodes).tolist())], z)
 
 
 def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray, rel_tol: float = 1e-10,
@@ -291,38 +299,50 @@ def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray, rel_tol: fl
     """Double the trapezoid rule until two passes agree to rel_tol.
 
     Agreement is measured against the value, with a floor at the roundoff
-    scale of the node sum so exact-zero values converge too.  Each point
-    of an ndarray ``z`` doubles on its own: once its last two passes
-    agree it is done, so it gets the value a scalar call would give.
-    No pass exceeds ``max_nodes`` nodes.  Raises NonConvergentError if a
-    point is still moving at the last pass, or if a pass is not finite.
+    scale of the node sum so exact-zero values converge too.  The rules
+    are nested: the even nodes of the 2N-node rule are the N-node rule,
+    so each doubling evaluates only the N new odd nodes and adds them to
+    the running sums.  Each point of an ndarray ``z`` doubles on its own:
+    once its last two passes agree it is done, so it gets the value a
+    scalar call would give.  No pass exceeds ``max_nodes`` nodes.  Raises
+    NonConvergentError if a point is still moving at the last pass, or if
+    a pass is not finite.
     """
     z = _check_disk(z, strict=True, arrays=True)
     n_nodes = max(16, _check_nodes(start_nodes, 1, "contour start node count"))
     max_nodes = _check_nodes(max_nodes, n_nodes, "contour max node count")
     zs = np.ravel(z)
+    prefs = _contour_prefactors(p, zs)
     values = [0j] * zs.size
     prev = {}  # point index -> its value at the last pass
-    todo = list(range(zs.size))
-    while todo:
-        cur, l1 = _contour_sum(p, zs[todo], n_nodes)
+    todo = np.arange(zs.size)
+    sums, mods = _contour_sum(p, zs, _roots_of_unity(n_nodes))
+    while todo.size:
         moving = []
-        for i, c, s in zip(todo, cur, l1):
+        for k, (i, v, l1) in enumerate(zip(todo.tolist(), (sums / n_nodes).tolist(),
+                                           (mods / n_nodes).tolist())):
+            c = prefs[i] * v
             if not cmath.isfinite(c):
                 raise NonConvergentError(
                     f"contour pass at {n_nodes} nodes is not finite for (m={p.m}, "
                     f"n={p.n}, gamma={p.gamma:g}) at z={complex(zs[i])!r}")
+            s = abs(prefs[i]) * l1
             if i in prev and abs(c - prev[i]) <= max(rel_tol * abs(c), 1e-13 * s):
                 values[i] = c
             else:
-                moving.append(i)
+                moving.append(k)
             prev[i] = c
-        todo = moving
-        if todo and 2 * n_nodes > max_nodes:
+        todo, sums, mods = todo[moving], sums[moving], mods[moving]
+        if not todo.size:
+            break
+        if 2 * n_nodes > max_nodes:
             raise NonConvergentError(
                 f"contour rule still moving at {n_nodes} nodes for (m={p.m}, n={p.n}, "
                 f"gamma={p.gamma:g}) at z={complex(zs[todo[0]])!r}")
         n_nodes *= 2
+        new_sums, new_mods = _contour_sum(p, zs[todo], _roots_of_unity(n_nodes)[1::2])
+        sums += new_sums
+        mods += new_mods
     return _shaped(values, z)
 
 

@@ -17,6 +17,7 @@ import pytest
 from scipy import special
 
 from diskpoly import numerics
+from diskpoly.cli import main
 from diskpoly.errors import DomainError, NonConvergentError, PoleAtCError
 from diskpoly.numerics import (
     QuadratureRule,
@@ -214,9 +215,49 @@ class TestIncompleteBeta:
         closed = numerics._beta_closed
         monkeypatch.setattr(numerics, "_beta_closed",
                             lambda a, b, x: closed(a, b, x) * (1.0 + 1e-8))
+        incomplete_beta.cache_clear()  # the warm-up calls cached the good values
         for a, b, x in cases:
             with pytest.raises(NonConvergentError):
                 incomplete_beta(a, b, x)
+
+    def test_self_check_once_per_argument(self, monkeypatch):
+        calls = []
+        check = numerics._beta_quad_check
+
+        def spy(a, b, x):
+            calls.append((a, b, x))
+            return check(a, b, x)
+
+        monkeypatch.setattr(numerics, "_beta_quad_check", spy)
+        incomplete_beta.cache_clear()
+        first = incomplete_beta(2.5, 1.5, 0.3)
+        assert incomplete_beta(2.5, 1.5, 0.3) == first
+        assert calls == [(2.5, 1.5, 0.3)]
+        incomplete_beta(2.5, 1.5, 0.4)
+        incomplete_beta(2.5, 1.5, 0.4, "upper")
+        assert calls == [(2.5, 1.5, 0.3), (2.5, 1.5, 0.4), (1.5, 2.5, 1.0 - 0.4)]
+
+    def test_errors_are_not_cached(self, monkeypatch):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                incomplete_beta(2.0, 1.5, 1.2)
+            with pytest.raises(DomainError):
+                incomplete_beta(2.0, 1.5, 0.5, side="middle")
+        closed = numerics._beta_closed
+        monkeypatch.setattr(numerics, "_beta_closed",
+                            lambda a, b, x: closed(a, b, x) * (1.0 + 1e-8))
+        incomplete_beta.cache_clear()
+        for _ in range(2):
+            with pytest.raises(NonConvergentError):
+                incomplete_beta(2.0, 1.5, 0.35)
+
+    def test_cold_and_warm_cache_give_same_report(self, capsys, tmp_path):
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        incomplete_beta.cache_clear()
+        assert main(["verify", "--suite", "cauchy", "--max-mn", "8", "--out", str(cold)]) == 0
+        assert incomplete_beta.cache_info().hits > 0
+        assert main(["verify", "--suite", "cauchy", "--max-mn", "8", "--out", str(warm)]) == 0
+        assert cold.read_bytes() == warm.read_bytes()
 
     def test_domain_guards(self):
         with pytest.raises(DomainError):

@@ -289,14 +289,74 @@ class TestContourNodeCount:
         counts = []
         real = zernike._contour_sum
 
-        def spy(p, z, n_nodes):
-            counts.append(n_nodes)
-            return real(p, z, n_nodes)
+        def spy(p, zs, t):
+            counts.append(len(t))
+            return real(p, zs, t)
 
         monkeypatch.setattr(zernike, "_contour_sum", spy)
         with pytest.raises(NonConvergentError, match="at 64 nodes"):
             eval_contour_adaptive(ZernikeParams(1, 1, 0.0), 0.97 + 0j, max_nodes=100)
         assert counts == [64]
+
+
+class TestNestedDoubling:
+    """Each doubling of the adaptive contour rule evaluates only the new
+    odd-indexed nodes of the doubled rule."""
+
+    PTS = disk_points(DEFAULT_SEED + 2, 8, 0.8)  # the contour suite's points
+
+    @staticmethod
+    def _spy(monkeypatch, passes):
+        real = zernike._contour_sum
+
+        def spy(p, zs, t):
+            passes.append(t.tolist())
+            return real(p, zs, t)
+
+        monkeypatch.setattr(zernike, "_contour_sum", spy)
+
+    def test_even_nodes_are_the_halved_rule(self):
+        for n_nodes in (16, 64, 100, 256, 4096, MAX_NODES // 2):
+            doubled = zernike._roots_of_unity(2 * n_nodes)[::2]
+            assert doubled.tobytes() == zernike._roots_of_unity(n_nodes).tobytes()
+
+    def test_each_node_evaluated_once(self, monkeypatch):
+        passes = []
+        self._spy(monkeypatch, passes)
+        eval_contour_adaptive(ZernikeParams(1, 1, 0.5), 0.64 + 0.48j)
+        assert [len(t) for t in passes] == [64, 64, 128]
+        nodes = [node for t in passes for node in t]
+        assert len(set(nodes)) == len(nodes) == 256
+        assert set(nodes) == set(zernike._roots_of_unity(256).tolist())
+
+    def test_no_pass_beyond_max_nodes(self, monkeypatch):
+        passes = []
+        self._spy(monkeypatch, passes)
+        with pytest.raises(NonConvergentError, match="at 128 nodes"):
+            eval_contour_adaptive(ZernikeParams(1, 1, 0.5), 0.64 + 0.48j, max_nodes=255)
+        assert [len(t) for t in passes] == [64, 64]
+
+    def test_value_matches_fixed_rule_at_settled_count(self, monkeypatch):
+        # the two sums add the same terms in different orders, so they
+        # differ by roundoff of the node sum: normalized by the summand's
+        # L1 scale, which is what the adaptive rule's own floor uses
+        real = zernike._contour_sum
+        passes = []
+        self._spy(monkeypatch, passes)
+        for g in DEFAULT_GAMMAS:
+            for m in range(5):
+                for n in range(5):
+                    p = ZernikeParams(m, n, g)
+                    for z in self.PTS:
+                        passes.clear()
+                        got = eval_contour_adaptive(p, z)
+                        settled = sum(len(t) for t in passes)
+                        want = eval_contour(p, z, settled)
+                        zs = np.array([z])
+                        pref = zernike._contour_prefactors(p, zs)[0]
+                        _, mods = real(p, zs, zernike._roots_of_unity(settled))
+                        l1 = abs(pref) * mods[0] / settled
+                        assert abs(got - want) <= 1e-14 * l1, (m, n, g, z)
 
 
 class TestContourArrays:
