@@ -46,7 +46,18 @@ def _signed_binomials(m: int) -> tuple:
 
 
 def _canonical(raw: dict) -> dict:
-    """Reduce every key to min(a, b) = 0 via (z conj(z))^m = (1 - u)^m."""
+    """Reduce every key to min(a, b) = 0 via (z conj(z))^m = (1 - u)^m.
+
+    Always returns a new dict.  When no key needs reducing, as after
+    ``add``, ``scale``, ``prune`` or a product with a single ``c u^h`` term,
+    one scan finds that out, and each nonzero coefficient becomes the
+    ``0 + c`` that the reduction would leave.
+    """
+    for a, b, _ in raw:
+        if a < 0 or b < 0 or a and b:
+            break
+    else:
+        return {key: 0 + c for key, c in raw.items() if c != 0}
     out: dict[tuple[int, int, int], complex] = {}
     for key, c in raw.items():
         a, b, k = key
@@ -69,38 +80,23 @@ class DiskExpr:
 
     __slots__ = ("terms", "base_offset")
 
-    def __init__(self, terms: dict | None = None, base_offset: float = 0.0):
-        raw = dict(terms) if terms else {}
+    def __init__(self, terms: dict | None = None, base_offset: float = 0):
+        raw = terms or {}
         if len(raw) > TERM_CAP:
             raise TooLargeError(f"expression exceeds {TERM_CAP} terms before reduction")
         canon = _canonical(raw)
         if len(canon) > TERM_CAP:
             raise TooLargeError(f"expression exceeds {TERM_CAP} terms")
-        self._settle(canon, base_offset)
-
-    @classmethod
-    def _from_canonical(cls, terms: dict, base_offset: float) -> "DiskExpr":
-        """Build from keys already in canonical form, skipping the reduction.
-
-        Zero coefficients are still dropped and every kept one becomes
-        ``0 + c``, exactly as ``_canonical`` leaves a key it sees once.
-        """
-        if len(terms) > TERM_CAP:
-            raise TooLargeError(f"expression exceeds {TERM_CAP} terms")
-        e = object.__new__(cls)
-        e._settle({key: 0 + c for key, c in terms.items() if c != 0}, base_offset)
-        return e
-
-    def _settle(self, canon: dict, base_offset: float):
-        """Store canonical terms, moving the smallest u-power into the offset."""
-        g = float(base_offset)
+        # the smallest u-power moves into the offset, which is kept as
+        # given, so a Fraction offset stays exact
+        g = base_offset
         if canon:
             kmin = min([key[2] for key in canon])
             if kmin != 0:
                 canon = {(a, b, k - kmin): c for (a, b, k), c in canon.items()}
                 g += kmin
         else:
-            g = 0.0
+            g = 0
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "base_offset", g)
 
@@ -108,7 +104,7 @@ class DiskExpr:
         raise AttributeError("DiskExpr is immutable")
 
     def __repr__(self):
-        return f"DiskExpr({len(self.terms)} terms, offset {self.base_offset:g})"
+        return f"DiskExpr({len(self.terms)} terms, offset {float(self.base_offset):g})"
 
     def __len__(self):
         return len(self.terms)
@@ -121,19 +117,19 @@ class DiskExpr:
 
     @staticmethod
     def one() -> "DiskExpr":
-        return DiskExpr({(0, 0, 0): 1.0})
+        return DiskExpr({(0, 0, 0): 1})
 
     @staticmethod
     def z_power(a: int) -> "DiskExpr":
-        return DiskExpr({(a, 0, 0): 1.0})
+        return DiskExpr({(a, 0, 0): 1})
 
     @staticmethod
     def zbar_power(b: int) -> "DiskExpr":
-        return DiskExpr({(0, b, 0): 1.0})
+        return DiskExpr({(0, b, 0): 1})
 
     @staticmethod
     def u_power(g: float) -> "DiskExpr":
-        return DiskExpr({(0, 0, 0): 1.0}, g)
+        return DiskExpr({(0, 0, 0): 1}, g)
 
 
 def _aligned(e1: DiskExpr, e2: DiskExpr) -> tuple[dict, dict, float]:
@@ -163,38 +159,24 @@ def add(e1: DiskExpr, e2: DiskExpr) -> DiskExpr:
     t1, t2, g = _aligned(e1, e2)
     for key, c in t2.items():
         t1[key] = t1.get(key, 0) + c
-    return DiskExpr._from_canonical(t1, g)
+    return DiskExpr(t1, g)
 
 
 def scale(e: DiskExpr, c: complex) -> DiskExpr:
     if c == 0:
         return DiskExpr()
-    return DiskExpr._from_canonical({key: v * c for key, v in e.terms.items()}, e.base_offset)
-
-
-def _is_u_power(e: DiskExpr) -> bool:
-    """True for a single term c u^g, which leaves the other factor's keys canonical."""
-    return len(e.terms) == 1 and (0, 0, 0) in e.terms
+    return DiskExpr({key: v * c for key, v in e.terms.items()}, e.base_offset)
 
 
 def mul(e1: DiskExpr, e2: DiskExpr) -> DiskExpr:
     if len(e1.terms) * len(e2.terms) > TERM_CAP:
         raise TooLargeError("product would exceed the term cap")
-    g = e1.base_offset + e2.base_offset
-    # a c u^h factor shifts no key, so the product needs no reduction; each
-    # branch keeps the general loop's operand order c1 * c2
-    if _is_u_power(e2):
-        c2 = e2.terms[(0, 0, 0)]
-        return DiskExpr._from_canonical({key: c1 * c2 for key, c1 in e1.terms.items()}, g)
-    if _is_u_power(e1):
-        c1 = e1.terms[(0, 0, 0)]
-        return DiskExpr._from_canonical({key: c1 * c2 for key, c2 in e2.terms.items()}, g)
     out: dict[tuple[int, int, int], complex] = {}
     for (a1, b1, k1), c1 in e1.terms.items():
         for (a2, b2, k2), c2 in e2.terms.items():
             key = (a1 + a2, b1 + b2, k1 + k2)
             out[key] = out.get(key, 0) + c1 * c2
-    return DiskExpr(out, g)
+    return DiskExpr(out, e1.base_offset + e2.base_offset)
 
 
 def d_z(e: DiskExpr) -> DiskExpr:
@@ -275,12 +257,12 @@ def prune(e: DiskExpr, rel_tol: float = 1e-12) -> DiskExpr:
     if top == 0.0:
         return DiskExpr()
     kept = {key: c for key, c in e.terms.items() if abs(c) > rel_tol * top}
-    return DiskExpr._from_canonical(kept, e.base_offset)
+    return DiskExpr(kept, e.base_offset)
 
 
 def dump(e: DiskExpr) -> str:
     """Deterministic text form: offset line, then one sorted line per term."""
-    lines = [f"offset {e.base_offset:.17g}"]
+    lines = [f"offset {float(e.base_offset):.17g}"]
     for (a, b, k) in sorted(e.terms):
         c = complex(e.terms[(a, b, k)])
         lines.append(f"{a} {b} {k} {c.real:.17g} {c.imag:.17g}")

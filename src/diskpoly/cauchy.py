@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NZeroError
 from .numerics import _check_count, _check_weight, gauss_legendre, hyp2f1, incomplete_beta
-from .zernike import ZernikeParams, _check_disk, eval_explicit, monomial_coeffs
+from .zernike import ZernikeParams, _check_disk, eval_jacobi, monomial_coeffs
 
 __all__ = [
     "cauchy_monomial_closed",
@@ -90,7 +90,7 @@ def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex 
     u = 1.0 - (z.real * z.real + z.imag * z.imag)
     u = np.maximum(u, 0.0) if isinstance(z, np.ndarray) else max(u, 0.0)
     shifted = ZernikeParams(p.m, p.n - 1, p.gamma + 1.0)
-    return u ** (p.gamma + 1.0) * eval_explicit(shifted, z)
+    return u ** (p.gamma + 1.0) * eval_jacobi(shifted, z)
 
 
 def cauchy_zernike_quad(p: ZernikeParams, z: complex) -> complex:

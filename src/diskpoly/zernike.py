@@ -166,14 +166,15 @@ def eval_gauss2(p: ZernikeParams, z: complex) -> complex:
     return pref * z.conjugate() ** m * z**n * f
 
 
-def eval_jacobi(p: ZernikeParams, z: complex) -> complex:
+def eval_jacobi(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
     """Radial Jacobi polynomial route, valid for every index ordering.
 
     The prefactor is symmetric under conjugation of the index pair,
     (-1)^s s! (gamma+s+1)_l with s = min(m,n), l = max(m,n); the
-    one-sided variant (gamma+m+1)_n holds only for m <= n.
+    one-sided variant (gamma+m+1)_n holds only for m <= n.  ``z`` may be
+    a scalar or an ndarray, as for ``eval_explicit``.
     """
-    z = _check_disk(z)
+    z = _check_disk(z, arrays=True)
     m, n, g = p.m, p.n, p.gamma
     s, ell = min(m, n), max(m, n)
     r2 = z.real * z.real + z.imag * z.imag
@@ -195,7 +196,7 @@ def rodrigues_expr(p: ZernikeParams) -> DiskExpr:
         e = algebra.d_zbar(e)
     for _ in range(p.m):
         e = algebra.d_z(e)
-    e = algebra.scale(e, float((-1) ** (p.m + p.n)))
+    e = algebra.scale(e, (-1) ** (p.m + p.n))
     return algebra.mul(e, DiskExpr.u_power(-p.gamma))
 
 
@@ -213,14 +214,10 @@ def eval_rodrigues(p: ZernikeParams, z: complex) -> complex:
 MAX_NODES = 2**16
 # Summand entries built at once: a pass over many points runs in blocks.
 _PASS_SIZE = 2**18
-
-
-def _check_nodes(n_nodes, least: int, what: str) -> int:
-    """A node count checked as by _check_count, and at most MAX_NODES."""
-    n_nodes = _check_count(n_nodes, least, what)
-    if n_nodes > MAX_NODES:
-        raise DomainError(f"{what} must be at most {MAX_NODES}, got {n_nodes}")
-    return n_nodes
+# The adaptive rule's first pass, and the agreement between two passes,
+# relative to the value, that ends its doubling.
+_START_NODES = 64
+_REL_TOL = 1e-10
 
 
 @lru_cache(maxsize=32)
@@ -286,17 +283,17 @@ def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> com
     ``eval_explicit``; ``n_nodes`` lies in [16, MAX_NODES].
     """
     z = _check_disk(z, strict=True, arrays=True)
-    n_nodes = _check_nodes(n_nodes, 16, "contour node count")
+    n_nodes = _check_count(n_nodes, 16, "contour node count")
+    if n_nodes > MAX_NODES:
+        raise DomainError(f"contour node count must be at most {MAX_NODES}, got {n_nodes}")
     zs = np.ravel(z)
     prefs = _contour_prefactors(p, zs)
     sums, _ = _contour_sum(p, zs, _roots_of_unity(n_nodes))
     return _shaped([c * v for c, v in zip(prefs, (sums / n_nodes).tolist())], z)
 
 
-def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray, rel_tol: float = 1e-10,
-                          start_nodes: int = 64,
-                          max_nodes: int = MAX_NODES) -> complex | np.ndarray:
-    """Double the trapezoid rule until two passes agree to rel_tol.
+def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
+    """Double the trapezoid rule from 64 nodes until two passes agree to 1e-10.
 
     Agreement is measured against the value, with a floor at the roundoff
     scale of the node sum so exact-zero values converge too.  The rules
@@ -304,13 +301,12 @@ def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray, rel_tol: fl
     so each doubling evaluates only the N new odd nodes and adds them to
     the running sums.  Each point of an ndarray ``z`` doubles on its own:
     once its last two passes agree it is done, so it gets the value a
-    scalar call would give.  No pass exceeds ``max_nodes`` nodes.  Raises
+    scalar call would give.  No pass exceeds MAX_NODES nodes.  Raises
     NonConvergentError if a point is still moving at the last pass, or if
     a pass is not finite.
     """
     z = _check_disk(z, strict=True, arrays=True)
-    n_nodes = max(16, _check_nodes(start_nodes, 1, "contour start node count"))
-    max_nodes = _check_nodes(max_nodes, n_nodes, "contour max node count")
+    n_nodes = _START_NODES
     zs = np.ravel(z)
     prefs = _contour_prefactors(p, zs)
     values = [0j] * zs.size
@@ -327,7 +323,7 @@ def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray, rel_tol: fl
                     f"contour pass at {n_nodes} nodes is not finite for (m={p.m}, "
                     f"n={p.n}, gamma={p.gamma:g}) at z={complex(zs[i])!r}")
             s = abs(prefs[i]) * l1
-            if i in prev and abs(c - prev[i]) <= max(rel_tol * abs(c), 1e-13 * s):
+            if i in prev and abs(c - prev[i]) <= max(_REL_TOL * abs(c), 1e-13 * s):
                 values[i] = c
             else:
                 moving.append(k)
@@ -335,7 +331,7 @@ def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray, rel_tol: fl
         todo, sums, mods = todo[moving], sums[moving], mods[moving]
         if not todo.size:
             break
-        if 2 * n_nodes > max_nodes:
+        if 2 * n_nodes > MAX_NODES:
             raise NonConvergentError(
                 f"contour rule still moving at {n_nodes} nodes for (m={p.m}, n={p.n}, "
                 f"gamma={p.gamma:g}) at z={complex(zs[todo[0]])!r}")

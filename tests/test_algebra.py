@@ -8,7 +8,7 @@ d/dz = (d/dx - i d/dy)/2 and d/dconj(z) = (d/dx + i d/dy)/2.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diskpoly.algebra import (
@@ -252,9 +252,8 @@ def test_leibniz_property(raw1, raw2, g):
     assert equal(lhs, rhs, tol=tol)
 
 
-# add, scale, prune and a mul by a single u-power term never take a key out
-# of canonical form, so they skip the reduction; each must still build
-# exactly what the generic constructor builds from the same raw dict.
+# Each op must build exactly what the constructor builds from the raw dict
+# the op stands for: the same terms in the same order, by type and bits.
 
 parts = st.one_of(st.sampled_from([0.0, -0.0]),
                   st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
@@ -354,9 +353,36 @@ def test_prune_matches_generic(e, rel_tol):
     assert_same(prune(e, rel_tol), want)
 
 
+# keys with min(a, b) <= 0, which the constructor's scan takes as they are
+# unless an exponent is negative
+scan_keys = st.tuples(st.integers(-1, 3), st.integers(-1, 3),
+                      st.integers(0, 2)).filter(lambda key: min(key[:2]) <= 0)
+
+
+@given(st.dictionaries(scan_keys, any_coeffs, max_size=6), any_offsets)
+@example({(0, 1, 0): complex(2.0, -0.0)}, 0)  # 0 + c clears the sign of a zero part
+@example({(1, 0, 0): 1.0, (0, 0, 1): 0.0}, 0.5)
+@example({(-1, 0, 0): 1.0}, 0)
+@settings(max_examples=150, deadline=None)
+def test_scan_matches_reduction(raw, g):
+    # the added zero term needs reducing, so the same terms go through the
+    # reduction loop instead of the scan's fast path
+    def build(terms):
+        try:
+            return DiskExpr(terms, g)
+        except DomainError:
+            return DomainError
+
+    fast, slow = build(raw), build({**raw, (1, 1, 0): 0.0})
+    if fast is DomainError or slow is DomainError:
+        assert fast is slow
+    else:
+        assert_same(fast, slow)
+
+
 @pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, -2, 3), (2, -1, 0), (-1, 3, 1)])
 def test_negative_exponent_still_rejected(key):
-    # (0, -1, 0) takes the branch for keys already in canonical form
+    # (0, -1, 0) has no key to reduce, so only the scan's sign check sees it
     with pytest.raises(DomainError):
         DiskExpr({key: 1.0})
 

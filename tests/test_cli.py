@@ -505,6 +505,22 @@ class TestTable:
         assert link.is_symlink()
         assert len(list(csv.reader(target.open()))) == 3
 
+    def test_cauchy_column_at_large_index_and_gamma(self, capsys, tmp_path):
+        # the default grid holds z = 0.224+0.224i, where the transform
+        # column was once off by 5e8 times the block's largest modulus
+        out = tmp_path / "t.csv"
+        assert main(["table", "--m", "56", "--n", "63", "--gammas", "300",
+                     "--with-cauchy", "--out", str(out)]) == 0
+        rows = list(csv.reader(out.open()))[1:]
+        got, want = [], []
+        for row in rows:
+            z = complex(float(row[3]), float(row[4]))
+            got.append(complex(float(row[7]), float(row[8])))
+            want.append(_closed_transform_ref(56, 63, 300.0, z))
+        s = max(map(abs, want))
+        assert len(rows) == 24
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * s
+
     def test_cauchy_columns(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["table", "--m", "1", "--n", "0:1", "--gammas", "0",
@@ -540,7 +556,31 @@ class TestTable:
         assert complex(doc["rows"][0][5], doc["rows"][0][6]) == pytest.approx(ref)
 
 
+def _closed_transform_ref(m: int, n: int, gamma: float, z: complex) -> complex:
+    """u^(gamma+1) Z_{m,n-1}^{gamma+1}(z) from the explicit sum at 120 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(120):
+        g = mpmath.mpf(gamma) + 1
+        w = mpmath.mpc(z)
+        u = 1 - mpmath.mpf(z.real) ** 2 - mpmath.mpf(z.imag) ** 2
+        total = mpmath.fsum(
+            (-1) ** j * math.comb(m, j) * math.comb(n - 1, j) * math.factorial(j)
+            * mpmath.rf(g + j + 1, m + n - 1 - j) * u**j
+            * mpmath.conj(w) ** (m - j) * w ** (n - 1 - j)
+            for j in range(min(m, n - 1) + 1))
+        return complex(u**g * total)
+
+
 class TestCauchyCmd:
+    def test_closed_at_large_index_and_gamma(self, capsys):
+        # through the explicit sum, which cancels here, the closed form
+        # printed 1.45e233i; the transform is -7.28e224i
+        assert main(["cauchy", "--m", "56", "--n", "63", "--gamma", "300",
+                     "--z", "0.224,0.224", "--route", "closed"]) == 0
+        _, re_s, im_s = capsys.readouterr().out.strip().split(", ")
+        ref = _closed_transform_ref(56, 63, 300.0, 0.224 + 0.224j)
+        assert abs(complex(float(re_s), float(im_s)) - ref) <= 1e-13 * abs(ref)
+
     def test_closed_value(self, capsys):
         assert main(["cauchy", "--gamma", "0", "--z", "0.5,0",
                      "--m", "1", "--n", "1"]) == 0

@@ -3,6 +3,8 @@
 import cmath
 import math
 from fractions import Fraction
+from numbers import Rational
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,10 +176,11 @@ class TestRouteAgreement:
         p = ZernikeParams(2, 1, 0.5)
         assert abs(eval_contour_adaptive(p, 1e-12 + 0j)) < 1e-10
 
-    def test_contour_nonconvergent_when_capped(self):
+    def test_contour_nonconvergent_when_capped(self, monkeypatch):
+        monkeypatch.setattr(zernike, "MAX_NODES", 128)
         p = ZernikeParams(1, 1, 0.0)
         with pytest.raises(NonConvergentError):
-            eval_contour_adaptive(p, 0.97 + 0j, max_nodes=128)
+            eval_contour_adaptive(p, 0.97 + 0j)
 
     def test_gauss_routes_reject_origin(self):
         # |z|^2 of 1e-200 underflows to 0: the origin, not a ZeroDivisionError
@@ -250,6 +253,45 @@ class TestArrayInput:
                 eval_explicit(p, nan_pts)
 
 
+class TestJacobiArrays:
+    """eval_jacobi on ndarrays: the scalar calls' values to rounding, up to
+    the index cap, with the scalar path's types and domain check."""
+
+    CASES = TestArrayInput.CASES + [(64, 64, 0.5), (64, 10, -0.9), (56, 62, 301.0)]
+    # interior points, the origin and the rim
+    PTS = disk_points(8101, 20, 1.0) + [0j, 1.0, -1j, complex(0.6, 0.8)]
+
+    def test_arrays_match_scalar_calls(self):
+        pts = np.array(self.PTS)
+        for m, n, g in self.CASES:
+            p = ZernikeParams(m, n, g)
+            want = [eval_jacobi(p, z) for z in self.PTS]
+            s = max(map(abs, want))
+            for shape in ((24,), (4, 6)):
+                got = eval_jacobi(p, pts.reshape(shape))
+                assert isinstance(got, np.ndarray) and got.shape == shape
+                assert got.dtype == complex
+                err = max(map(normalized_deviation, got.ravel().tolist(), want,
+                              [s] * len(want)))
+                assert err <= 1e-12, (m, n, g, shape, err)
+
+    def test_scalar_input_gives_python_complex(self):
+        p = ZernikeParams(3, 2, 0.5)
+        for z in (0.3 - 0.2j, 0.4, np.complex128(0.3 - 0.2j), np.array(0.3 - 0.2j)):
+            assert type(eval_jacobi(p, z)) is complex
+        assert eval_jacobi(p, np.array(0.3 - 0.2j)) == eval_jacobi(p, 0.3 - 0.2j)
+        assert eval_jacobi(p, np.zeros((0, 3), complex)).shape == (0, 3)
+
+    def test_any_point_outside_rejected(self):
+        p = ZernikeParams(2, 1, 0.5)
+        for pts in (self.PTS[:3] + [complex(math.nan, 0.0)],
+                    [complex(0.0, math.nan)] + self.PTS[:3],
+                    self.PTS[:3] + [0.6 + 0.9j]):
+            for shape in ((4,), (2, 2)):
+                with pytest.raises(DomainError, match="disk"):
+                    eval_jacobi(p, np.array(pts).reshape(shape))
+
+
 class TestContourNodeCount:
     P = ZernikeParams(2, 1, 0.5)
     Z = 0.3 - 0.2j
@@ -259,31 +301,18 @@ class TestContourNodeCount:
         # grid: a value 0.8% off, returned without a word
         with pytest.raises(DomainError):
             eval_contour(self.P, self.Z, 100.5)
-        with pytest.raises(DomainError):
-            eval_contour_adaptive(self.P, self.Z, start_nodes=100.5)
 
     def test_numpy_integer_count_accepted(self):
         want = eval_contour(self.P, self.Z, 128)
         assert eval_contour(self.P, self.Z, np.int64(128)) == want
-        assert eval_contour_adaptive(self.P, self.Z, start_nodes=np.int32(64)) == \
-            eval_contour_adaptive(self.P, self.Z)
 
     def test_count_above_cap_rejected(self):
         # a count of 10**15 once died allocating 7 PiB
         for count in (MAX_NODES + 1, 10**15):
             with pytest.raises(DomainError, match="at most"):
                 eval_contour(self.P, self.Z, count)
-            with pytest.raises(DomainError, match="at most"):
-                eval_contour_adaptive(self.P, self.Z, start_nodes=count)
-            with pytest.raises(DomainError, match="at most"):
-                eval_contour_adaptive(self.P, self.Z, max_nodes=count)
         assert eval_contour(self.P, self.Z, MAX_NODES) == pytest.approx(
             eval_explicit(self.P, self.Z), rel=1e-12)
-
-    def test_max_nodes_checked(self):
-        for bad in (2.5, 32):  # fractional, and below the start count 64
-            with pytest.raises(DomainError):
-                eval_contour_adaptive(self.P, self.Z, max_nodes=bad)
 
     def test_no_pass_beyond_max_nodes(self, monkeypatch):
         counts = []
@@ -294,8 +323,9 @@ class TestContourNodeCount:
             return real(p, zs, t)
 
         monkeypatch.setattr(zernike, "_contour_sum", spy)
+        monkeypatch.setattr(zernike, "MAX_NODES", 100)
         with pytest.raises(NonConvergentError, match="at 64 nodes"):
-            eval_contour_adaptive(ZernikeParams(1, 1, 0.0), 0.97 + 0j, max_nodes=100)
+            eval_contour_adaptive(ZernikeParams(1, 1, 0.0), 0.97 + 0j)
         assert counts == [64]
 
 
@@ -332,8 +362,9 @@ class TestNestedDoubling:
     def test_no_pass_beyond_max_nodes(self, monkeypatch):
         passes = []
         self._spy(monkeypatch, passes)
+        monkeypatch.setattr(zernike, "MAX_NODES", 255)
         with pytest.raises(NonConvergentError, match="at 128 nodes"):
-            eval_contour_adaptive(ZernikeParams(1, 1, 0.5), 0.64 + 0.48j, max_nodes=255)
+            eval_contour_adaptive(ZernikeParams(1, 1, 0.5), 0.64 + 0.48j)
         assert [len(t) for t in passes] == [64, 64]
 
     def test_value_matches_fixed_rule_at_settled_count(self, monkeypatch):
@@ -412,13 +443,14 @@ class TestContourArrays:
                 with pytest.raises(DomainError, match="disk"):
                     eval_contour(p, zs, 64)
 
-    def test_one_slow_point_fails_the_call(self):
+    def test_one_slow_point_fails_the_call(self, monkeypatch):
+        monkeypatch.setattr(zernike, "MAX_NODES", 128)
         p = ZernikeParams(1, 1, 0.0)
         with pytest.raises(NonConvergentError, match=r"0\.97\+0j"):
-            eval_contour_adaptive(p, np.array(self.PTS[:3] + [0.97]), max_nodes=128)
+            eval_contour_adaptive(p, np.array(self.PTS[:3] + [0.97]))
         # the message names the point in full, not rounded to 1+0j
         with pytest.raises(NonConvergentError, match=r"0\.9999999\+0j"):
-            eval_contour_adaptive(p, np.array([0.1, 0.9999999]), max_nodes=128)
+            eval_contour_adaptive(p, np.array([0.1, 0.9999999]))
 
     def test_overflow_is_a_convergence_error(self):
         # the summand overflows at 0.3+0.2i, the prefactor u**-gamma at 0.9
@@ -460,6 +492,19 @@ class TestRodriguesExpr:
         assert r.base_offset == 0.0 and r.terms == {(0, 1, 0): pytest.approx(1.25)}
         r0 = rodrigues_expr(ZernikeParams(0, 0, 1.5))
         assert r0.terms == {(0, 0, 0): 1.0}
+
+    def test_exact_over_fraction_gamma(self):
+        # ZernikeParams stores gamma as a float, so the uncached recursion
+        # runs on a stand-in that carries a Fraction
+        for g in (Fraction(1, 2), Fraction(5, 2), Fraction(-9, 10)):
+            for m in range(5):
+                for n in range(5):
+                    r = rodrigues_expr.__wrapped__(SimpleNamespace(m=m, n=n, gamma=g))
+                    assert isinstance(r.base_offset, Rational) and r.base_offset == 0
+                    assert all(isinstance(c, Rational) for c in r.terms.values())
+                    want = algebra.DiskExpr({(a, b, j): c
+                                             for a, b, j, c in _explicit_terms(m, n, g)})
+                    assert r.terms == want.terms and r.base_offset == want.base_offset
 
 
 class TestMonomialCoeffs:
