@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NZeroError
 from .numerics import _check_count, _check_weight, gauss_legendre, hyp2f1, incomplete_beta
-from .zernike import ZernikeParams, _check_disk, eval_jacobi, monomial_coeffs
+from .zernike import ZernikeParams, _check_disk, _explicit_terms, eval_jacobi
 
 __all__ = [
     "cauchy_monomial_closed",
@@ -94,12 +94,10 @@ def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex 
 
 
 def cauchy_zernike_quad(p: ZernikeParams, z: complex) -> complex:
-    """Coefficient-by-coefficient transform through the monomial route."""
+    """Term-by-term transform of the explicit sum through the monomial route."""
     z = complex(z)
-    acc = 0j
-    for (a, b), c in sorted(monomial_coeffs(p).items()):
-        acc += c * cauchy_monomial_closed(b, a, 0, p.gamma, z)
-    return acc
+    return sum(c * cauchy_monomial_closed(b, a, j, p.gamma, z)
+               for a, b, j, c in _explicit_terms(p.m, p.n, p.gamma))
 
 
 def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,

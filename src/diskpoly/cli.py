@@ -1,10 +1,11 @@
 """Command-line surface: evaluate family members, run verification
 suites, compute transforms, and export value tables.
 
-Exit codes: 0 success, 1 verification rows failed, 2 bad flags, 3 domain
-or convergence error (an inf or NaN result counts as one).  Every failure
-writes one machine-parseable line "ERROR <code>: <reason>" to stderr.  All
-output is deterministic for identical flags.
+Exit codes: 0 success, 1 verification rows failed, 2 bad flags (an --out
+path that cannot be written counts as one), 3 domain or convergence error
+(an inf or NaN result counts as one).  Every failure writes one
+machine-parseable line "ERROR <code>: <reason>" to stderr.  All output is
+deterministic for identical flags.
 """
 
 import argparse
@@ -294,6 +295,9 @@ def main(argv=None) -> int:
     except DiskPolyError as exc:
         print(f"ERROR 3: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"ERROR 2: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -102,8 +102,11 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     ``_HYP2F1_TOL``.  Raises PoleAtCError if c hits a nonpositive integer
     before the series terminates, NonConvergentError for a terminating sum
     whose terms or total overflow, and for a non-terminating call with
-    |x| >= 1 or one exceeding ``_HYP2F1_MAX_TERMS`` terms.
+    |x| >= 1 or one exceeding ``_HYP2F1_MAX_TERMS`` terms, and DomainError
+    for a parameter or argument that is inf or NaN.
     """
+    if not all(map(math.isfinite, (a, b, c, x))):
+        raise DomainError(f"hyp2f1 needs finite a, b, c and x, got ({a!r}, {b!r}, {c!r}, {x!r})")
     ka = _nonpos_int(a)
     kb = _nonpos_int(b)
     if ka is not None or kb is not None:
@@ -136,13 +139,13 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
 def jacobi_p(n: int, alpha: float, beta: float, x: float) -> float:
     """Jacobi polynomial P_n^(alpha, beta)(x) by the three-term recurrence.
 
-    Valid for alpha, beta > -1, where the recurrence denominators stay
-    positive for every n.
+    Valid for finite alpha, beta > -1, where the recurrence denominators
+    stay positive for every n.
     """
     if n < 0:
         raise DomainError(f"jacobi_p needs n >= 0, got {n}")
-    if alpha <= -1 or beta <= -1:
-        raise DomainError(f"jacobi_p needs alpha, beta > -1, got ({alpha}, {beta})")
+    if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > -1 and beta > -1):
+        raise DomainError(f"jacobi_p needs finite alpha, beta > -1, got ({alpha}, {beta})")
     if n == 0:
         return 1.0
     s = alpha + beta
@@ -308,10 +311,12 @@ def incomplete_beta(a: float, b: float, x: float, side: str = "lower") -> float:
     integral; disagreement beyond ``_BETA_CHECK_TOL`` (relative) raises
     NonConvergentError since it signals a defect in one of the routes.
     The check runs once per distinct argument: results are memoised.
-    Needs a > 0 and b > -1 (b > 0 when the t=1 endpoint is involved).
+    Needs finite a > 0 and b > -1 (b > 0 when the t=1 endpoint is involved).
     """
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"exponent parameters must be finite, got ({a}, {b})")
     if side == "upper":
         return incomplete_beta(b, a, 1.0 - x, "lower")
     if not 0.0 <= x <= 1.0:
@@ -326,9 +331,10 @@ def incomplete_beta(a: float, b: float, x: float, side: str = "lower") -> float:
         return _beta_complete(a, b)
     if b <= -1:
         raise DomainError(f"second exponent parameter must exceed -1, got {b}")
-    if x > 0.5 and b > 0:
-        # complement split keeps the series argument at most 1/2; the direct
-        # form needs ~ log(tol)/log(x) terms as x -> 1 and drifts with them
+    if x > (a + 1) / (a + b + 2) and b > 0:
+        # past x = (a+1)/(a+b+2) (Numerical Recipes 6.4) the upper piece is
+        # the smaller one, so B(a, b) minus it cannot cancel; below that
+        # point the lower piece is the smaller one and is summed directly
         closed = _beta_complete(a, b) - _beta_closed(b, a, 1.0 - x)
     else:
         closed = _beta_closed(a, b, x)

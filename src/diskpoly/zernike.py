@@ -15,7 +15,8 @@ They share no intermediate code beyond the Pochhammer symbol, so mutual
 agreement is strong evidence that each is implemented correctly.
 
 The explicit route, ``explicit_expr``, ``monomial_coeffs``,
-``inner_product`` and ``hermite`` read the coefficients of the explicit
+``inner_product``, ``hermite`` and the quad Cauchy route
+(``cauchy.cauchy_zernike_quad``) read the coefficients of the explicit
 sum from one kernel, cached per (m, n, gamma); none of the other five
 routes uses it.
 """

@@ -178,6 +178,43 @@ def test_zernike_n_zero():
     assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
 
 
+def _quad_reference(m, n, g, z):
+    """The term-by-term monomial route in 50-digit arithmetic: term j of the
+    explicit sum, conj(z)^(m-j) z^(n-j) u^j, through its incomplete beta
+    integral, with exact coefficients."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        g = mpmath.mpf(g)
+        w = mpmath.mpc(z)
+        r2 = mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2
+        acc = mpmath.mpc(0)
+        for j in range(min(m, n) + 1):
+            coef = ((-1) ** j * math.comb(m, j) * math.comb(n, j) * math.factorial(j)
+                    * mpmath.rf(g + j + 1, m + n - j))
+            a, b = m - j + 1, g + j + 1
+            if n <= m:
+                acc += coef * -mpmath.betainc(a, b, 0, r2) / w ** (1 + m - n)
+            else:
+                acc += coef * w ** (n - m - 1) * mpmath.betainc(a, b, r2, 1)
+        return complex(acc)
+
+
+@pytest.mark.parametrize("g", [-0.8, 0.0, 2.5])
+def test_zernike_quad_matches_high_precision(g):
+    # each explicit term must reach the monomial transform with its u^j:
+    # expanded into pure monomials the sum cancels to 7e-8 at (8, 8),
+    # gamma = -0.8
+    pts = [r * complex(math.cos(t), math.sin(t))
+           for r, t in ((0.4, 2.0), (0.7, 0.3), (0.9, 4.1), (0.9, 2.0))]
+    for m, n in [(7, 8), (8, 8), (8, 7), (6, 8), (5, 5)]:
+        ref = [_quad_reference(m, n, g, z) for z in pts]
+        s = max(abs(v) for v in ref)
+        p = ZernikeParams(m, n, g)
+        worst = max(normalized_deviation(cauchy_zernike_quad(p, z), r, s)
+                    for z, r in zip(pts, ref))
+        assert worst <= 1e-10, (m, n, worst)
+
+
 def test_z_zero_rules():
     # only angular charge chi = 1 survives at the origin
     assert cauchy_monomial_closed(0, 1, 0, 0.5, 0j) == pytest.approx(2.0 / 3.0, rel=1e-14)

@@ -397,6 +397,24 @@ class TestVerify:
         assert ei.value.code == 2
 
 
+class TestUnwritableOut:
+    """An --out path that cannot be opened is a bad flag value: exit 2 with
+    one ERROR 2 line, not a traceback with the failed-rows code 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "routes", "--max-mn", "1"],
+        ["table", "--m", "0:2", "--n", "0:1"],
+    ])
+    @pytest.mark.parametrize("where", ["missing_parent", "directory"])
+    def test_exit_2(self, capsys, tmp_path, argv, where):
+        out = tmp_path / "missing" / "out.txt" if where == "missing_parent" else tmp_path
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("ERROR 2: "), (rc, err)
+        assert str(out) in lines[0]
+
+
 class TestTable:
     def test_single_point_matches_eval(self, capsys, tmp_path):
         out = tmp_path / "t.csv"

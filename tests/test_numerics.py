@@ -102,6 +102,15 @@ class TestHyp2F1:
         # terminates after one step, before c+1 = -1 is ever used
         assert hyp2f1(-1.0, 5.0, -2.0, 0.3) == pytest.approx(1.75, rel=1e-15)
 
+    @pytest.mark.parametrize("a, b, c, x", [
+        (math.nan, 1.0, 1.0, 0.5), (math.inf, 1.0, 1.0, 0.5), (1.0, -math.inf, 1.0, 0.5),
+        (1.0, 1.0, math.nan, 0.5), (1.0, 1.0, math.inf, 0.5),
+        (1.0, 1.0, 1.0, math.nan), (1.0, 1.0, 1.0, math.inf),
+    ])
+    def test_non_finite_raises_domain_error(self, a, b, c, x):
+        with pytest.raises(DomainError, match="finite"):
+            hyp2f1(a, b, c, x)
+
     def test_summation_order_stable(self):
         # exact pairwise summation makes the terminating sum independent of
         # term order; check forward vs reversed on an awkward seeded grid
@@ -144,6 +153,12 @@ class TestJacobiP:
             lhs = jacobi_p(n, a, b, -x)
             rhs = (-1) ** n * jacobi_p(n, b, a, x)
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.5, math.inf)])
+    def test_non_finite_raises_domain_error(self, alpha, beta):
+        with pytest.raises(DomainError, match="finite"):
+            jacobi_p(2, alpha, beta, 0.3)
 
     def test_domain_guards(self):
         with pytest.raises(DomainError):
@@ -258,6 +273,25 @@ class TestIncompleteBeta:
         assert incomplete_beta.cache_info().hits > 0
         assert main(["verify", "--suite", "cauchy", "--max-mn", "8", "--out", str(warm)]) == 0
         assert cold.read_bytes() == warm.read_bytes()
+
+    @pytest.mark.parametrize("a, b, side", [
+        (math.nan, 1.5, "lower"), (math.inf, 1.5, "lower"), (2.0, math.nan, "lower"),
+        (2.0, math.inf, "lower"), (2.0, math.nan, "upper"), (math.inf, 1.5, "upper"),
+    ])
+    def test_non_finite_raises_domain_error(self, a, b, side):
+        with pytest.raises(DomainError, match="finite"):
+            incomplete_beta(a, b, 0.5, side)
+
+    @pytest.mark.parametrize("a", [14.0, 20.0, 35.0, 65.0])
+    def test_matches_mpmath_past_one_half(self, a):
+        # here the lower piece is a small part of B(a, b), so B(a, b) minus
+        # the upper piece cancels and the self-check would raise
+        mpmath = pytest.importorskip("mpmath")
+        for b in (0.5, 1.5, 10.5):
+            for x in (0.51, 0.55, 0.7, 0.81):
+                with mpmath.workdps(40):
+                    want = float(mpmath.betainc(a, b, 0, x))
+                assert incomplete_beta(a, b, x) == pytest.approx(want, rel=1e-12), (b, x)
 
     def test_domain_guards(self):
         with pytest.raises(DomainError):
