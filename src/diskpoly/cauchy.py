@@ -39,7 +39,8 @@ def cauchy_monomial_closed(p: int, q: int, k: int, gamma: float, z: complex) -> 
     radial part inside |z| contributes, for chi > 0 only the part outside.
     At z = 0, and wherever |z|^2 underflows to 0, the value is the full
     beta integral when the result charge chi - 1 vanishes, and zero
-    otherwise.
+    otherwise; for chi <= 0 it is also zero wherever z^(1 - chi)
+    underflows to 0.
     """
     _check_monomial(p, q, k, gamma)
     z = _check_disk(z, strict=True)
@@ -50,8 +51,12 @@ def cauchy_monomial_closed(p: int, q: int, k: int, gamma: float, z: complex) -> 
             return complex(incomplete_beta(p + 1, gamma + k + 1, 1.0))
         return 0j
     if chi <= 0:
-        return -incomplete_beta(p + 1, gamma + k + 1, r2) / z ** (1 - chi)
-    return z ** (chi - 1) * incomplete_beta(p + 1, gamma + k + 1, r2, "upper")
+        w = z ** (1 - chi)
+        if w == 0:
+            # the value, about |z|^(p+q+1)/(p+1) <= |w|, underflows too
+            return 0j
+        return -incomplete_beta(p + 1, gamma + k + 1, r2) / w
+    return z ** (chi - 1) * incomplete_beta(gamma + k + 1, p + 1, 1.0 - r2)
 
 
 def cauchy_monomial_2f1(p: int, q: int, k: int, gamma: float, z: complex) -> complex:

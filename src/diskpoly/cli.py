@@ -22,15 +22,15 @@ from .cauchy import (cauchy_direct_2d, cauchy_monomial_2f1, cauchy_monomial_clos
 from .errors import DiskPolyError, NonConvergentError
 from .report import _f17, serialize
 from .suites import DEFAULT_GAMMAS, DEFAULT_SEED, SUITE_NAMES, run_suite
-from .zernike import MAX_NODES, ROUTES, ZernikeParams, eval_explicit, eval_route
+from .zernike import (MAX_NODES, ROUTES, ZernikeParams, _check_indices, eval_explicit,
+                      eval_route)
 
 __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(f"ERROR 2: {message}", file=sys.stderr)
-        raise SystemExit(2)
+        _flag_error(message)
 
 
 def _flag_error(msg: str):
@@ -57,14 +57,16 @@ def _parse_gammas(text: str) -> tuple[float, ...]:
         _flag_error(f"--gammas expects comma-separated reals, got {text!r}")
 
 
-def _parse_range(text: str, flag: str) -> list[int]:
+def _parse_range(text: str, flag: str) -> range:
+    """The indices of INT or LO:HI; both bounds are checked before the
+    range is built, so no bound can ask for a huge range."""
     try:
-        if ":" in text:
-            lo, hi = text.split(":")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+        lo, hi = text.split(":") if ":" in text else (text, text)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         _flag_error(f"{flag} expects INT or LO:HI, got {text!r}")
+    _check_indices(lo, hi)
+    return range(lo, hi + 1)
 
 
 def _finite(v: complex) -> complex:

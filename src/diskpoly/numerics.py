@@ -13,6 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 
 import numpy as np
 
@@ -79,18 +80,20 @@ def _nonpos_int(v: float) -> int | None:
     return None
 
 
-def _terminating_terms(k: int, a: float, b: float, c: float, x: float) -> list[float]:
-    """The k+1 terms of the terminating series sum_{j=0..k} (a)_j (b)_j x^j / ((c)_j j!)."""
-    terms = [1.0]
+def _hyp2f1_terms(a: float, b: float, c: float, x: float):
+    """Yield the terms (a)_j (b)_j x^j / ((c)_j j!) for j = 0, 1, ...
+
+    Raises PoleAtCError before the first term whose (c)_j vanishes.
+    """
     t = 1.0
-    for j in range(k):
+    yield t
+    for j in count():
         if abs(c + j) <= _INT_TOL:
             raise PoleAtCError(
                 f"denominator parameter c={c} hits a nonpositive integer at term {j + 1}"
             )
         t *= (a + j) * (b + j) / ((c + j) * (j + 1)) * x
-        terms.append(t)
-    return terms
+        yield t
 
 
 def hyp2f1(a: float, b: float, c: float, x: float) -> float:
@@ -113,7 +116,7 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
         k = min(k for k in (ka, kb) if k is not None)
         aa = float(round(a)) if ka is not None else a
         bb = float(round(b)) if kb is not None else b
-        terms = _terminating_terms(k, aa, bb, c, x)
+        terms = list(islice(_hyp2f1_terms(aa, bb, c, x), k + 1))
         try:
             if all(map(math.isfinite, terms)):
                 return math.fsum(terms)
@@ -122,14 +125,9 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
         raise NonConvergentError(f"terminating 2F1 sum overflows at x = {x!r}")
     if abs(x) >= 1.0:
         raise NonConvergentError(f"2F1 series does not converge at |x| = {abs(x)} >= 1")
-    acc = 1.0
-    t = 1.0
-    for j in range(_HYP2F1_MAX_TERMS):
-        if abs(c + j) <= _INT_TOL:
-            raise PoleAtCError(
-                f"denominator parameter c={c} hits a nonpositive integer at term {j + 1}"
-            )
-        t *= (a + j) * (b + j) / ((c + j) * (j + 1)) * x
+    terms = _hyp2f1_terms(a, b, c, x)
+    acc = next(terms)
+    for t in islice(terms, _HYP2F1_MAX_TERMS):
         acc += t
         if abs(t) <= _HYP2F1_TOL * abs(acc):
             return acc
@@ -302,23 +300,20 @@ def _beta_closed(a: float, b: float, x: float) -> float:
 # call returns what it would return uncached.  A call that raises is not
 # cached, so it raises again when repeated.
 @lru_cache(maxsize=4096, typed=True)
-def incomplete_beta(a: float, b: float, x: float, side: str = "lower") -> float:
-    """Incomplete beta integral of t^(a-1)(1-t)^(b-1) over [0,x] or [x,1].
+def incomplete_beta(a: float, b: float, x: float) -> float:
+    """Incomplete beta integral of t^(a-1)(1-t)^(b-1) over [0, x].
 
-    The value comes from the closed hypergeometric form
+    The integral over [x, 1] is ``incomplete_beta(b, a, 1 - x)``.  The
+    value comes from the closed hypergeometric form
     (x^a / a)(1-x)^b 2F1(1, a+b; a+1; x) and every interior call is
     cross-checked against composite Gauss quadrature of the defining
     integral; disagreement beyond ``_BETA_CHECK_TOL`` (relative) raises
     NonConvergentError since it signals a defect in one of the routes.
     The check runs once per distinct argument: results are memoised.
-    Needs finite a > 0 and b > -1 (b > 0 when the t=1 endpoint is involved).
+    Needs finite a > 0 and b > -1 (b > 0 when x = 1).
     """
-    if side not in ("lower", "upper"):
-        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"exponent parameters must be finite, got ({a}, {b})")
-    if side == "upper":
-        return incomplete_beta(b, a, 1.0 - x, "lower")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if a <= 0:

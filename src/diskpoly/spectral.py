@@ -77,8 +77,9 @@ def nabla_star(alpha: float, e: DiskExpr) -> DiskExpr:
 
 
 def magnetic_laplacian(nu: float, e: DiskExpr) -> DiskExpr:
-    mixed = scale(mul(_U2, d_z(d_zbar(e))), -1.0)
-    drift = add(mul(_Z, d_z(e)), scale(mul(_ZBAR, d_zbar(e)), -1.0))
+    e_zbar = d_zbar(e)
+    mixed = scale(mul(_U2, d_z(e_zbar)), -1.0)
+    drift = add(mul(_Z, d_z(e)), scale(mul(_ZBAR, e_zbar), -1.0))
     drift = scale(mul(_U, drift), -nu)
     potential = scale(mul(_ZZBAR, e), nu * nu)
     return add(add(mixed, drift), potential)

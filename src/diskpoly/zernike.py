@@ -197,8 +197,11 @@ def rodrigues_expr(p: ZernikeParams) -> DiskExpr:
         e = algebra.d_zbar(e)
     for _ in range(p.m):
         e = algebra.d_z(e)
-    e = algebra.scale(e, (-1) ** (p.m + p.n))
-    return algebra.mul(e, DiskExpr.u_power(-p.gamma))
+    # e's u^0 term, the explicit sum's (gamma+1)_{m+n}, is never zero, so
+    # its offset is gamma, up to the rounding of gamma + m + n; dividing
+    # by u^gamma therefore leaves the int offset 0, never that leftover
+    sign = (-1) ** (p.m + p.n)
+    return DiskExpr({key: sign * c for key, c in e.terms.items()})
 
 
 def explicit_expr(p: ZernikeParams) -> DiskExpr:
@@ -268,6 +271,14 @@ def _contour_sum(p: ZernikeParams, zs: np.ndarray,
     return sums, mods
 
 
+def _check_pass(p: ZernikeParams, n_nodes: int, v: complex, z: complex):
+    """Raise NonConvergentError unless the pass's value v at z is finite."""
+    if not cmath.isfinite(v):
+        raise NonConvergentError(
+            f"contour pass at {n_nodes} nodes is not finite for (m={p.m}, "
+            f"n={p.n}, gamma={p.gamma:g}) at z={complex(z)!r}")
+
+
 def _shaped(values: list[complex], z: complex | np.ndarray) -> complex | np.ndarray:
     """The values in the shape of the input: a complex for a scalar z."""
     if isinstance(z, np.ndarray):
@@ -290,7 +301,10 @@ def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> com
     zs = np.ravel(z)
     prefs = _contour_prefactors(p, zs)
     sums, _ = _contour_sum(p, zs, _roots_of_unity(n_nodes))
-    return _shaped([c * v for c, v in zip(prefs, (sums / n_nodes).tolist())], z)
+    values = [c * v for c, v in zip(prefs, (sums / n_nodes).tolist())]
+    for v, zi in zip(values, zs.tolist()):
+        _check_pass(p, n_nodes, v, zi)
+    return _shaped(values, z)
 
 
 def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
@@ -319,10 +333,7 @@ def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray) -> complex 
         for k, (i, v, l1) in enumerate(zip(todo.tolist(), (sums / n_nodes).tolist(),
                                            (mods / n_nodes).tolist())):
             c = prefs[i] * v
-            if not cmath.isfinite(c):
-                raise NonConvergentError(
-                    f"contour pass at {n_nodes} nodes is not finite for (m={p.m}, "
-                    f"n={p.n}, gamma={p.gamma:g}) at z={complex(zs[i])!r}")
+            _check_pass(p, n_nodes, c, zs[i])
             s = abs(prefs[i]) * l1
             if i in prev and abs(c - prev[i]) <= max(_REL_TOL * abs(c), 1e-13 * s):
                 values[i] = c
@@ -343,27 +354,28 @@ def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray) -> complex 
     return _shaped(values, z)
 
 
-ROUTES = ("explicit", "gauss1", "gauss2", "jacobi", "rodrigues", "contour")
+# The point routes; "contour" is dispatched on its own, because it
+# chooses between the fixed and the adaptive rule.
+_ROUTE_FUNCS = {
+    "explicit": eval_explicit,
+    "gauss1": eval_gauss1,
+    "gauss2": eval_gauss2,
+    "jacobi": eval_jacobi,
+    "rodrigues": eval_rodrigues,
+}
+ROUTES = (*_ROUTE_FUNCS, "contour")
 
 
 def eval_route(p: ZernikeParams, z: complex, route: str,
                contour_nodes: int | None = None) -> complex:
     """Dispatch a single evaluation to the named route."""
-    if route == "explicit":
-        return eval_explicit(p, z)
-    if route == "gauss1":
-        return eval_gauss1(p, z)
-    if route == "gauss2":
-        return eval_gauss2(p, z)
-    if route == "jacobi":
-        return eval_jacobi(p, z)
-    if route == "rodrigues":
-        return eval_rodrigues(p, z)
     if route == "contour":
         if contour_nodes is not None:
             return eval_contour(p, z, contour_nodes)
         return eval_contour_adaptive(p, z)
-    raise DomainError(f"unknown route {route!r}")
+    if route not in _ROUTE_FUNCS:
+        raise DomainError(f"unknown route {route!r}")
+    return _ROUTE_FUNCS[route](p, z)
 
 
 def value_at_origin(p: ZernikeParams) -> float:

@@ -291,6 +291,14 @@ def test_2f1_route_at_subnormal_radius():
     for z in (1e-160 + 0j, 1e-160j):
         v = cauchy_monomial_2f1(2, 1, 1, 0.5, z)
         assert v == cauchy_monomial_closed(2, 1, 1, 0.5, z) == 0
+    # z^(1 - chi) underflows to 0 while |z|^2 does not, or at |z| = 0.5 for
+    # a huge p: the value underflows too, so both routes give 0, not a
+    # ZeroDivisionError
+    for (p, q, k), z in (((2, 0, 0), 1e-120 + 0j), ((3, 1, 0), 1e-160 + 0j),
+                         ((3, 1, 0), 1e-160j), ((2000, 0, 0), 0.5 + 0j)):
+        v = cauchy_monomial_2f1(p, q, k, 0.5, z)
+        assert v == cauchy_monomial_closed(p, q, k, 0.5, z) == 0, (p, q, k, z)
+    assert cauchy_zernike_quad(ZernikeParams(3, 1, 0.5), 1e-160 + 0j) == 0
 
 
 class TestClosedArrays:

@@ -283,6 +283,14 @@ class TestPointContract:
         _, re_s, im_s = capsys.readouterr().out.strip().split(", ")
         assert math.isfinite(float(re_s)) and math.isfinite(float(im_s))
 
+    def test_underflowing_power_transform_exit_0(self, capsys):
+        # |z|^2 = 1e-320 is nonzero, but z^3 underflows to 0: the value
+        # underflows too, so the route prints 0, not a ZeroDivisionError
+        args = self.CAUCHY + ["--m", "3", "--n", "1", "--route", "quad", "--z", "1e-160,0"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == "quad, 0.0, 0.0\n"
+
+
 class TestFiniteContract:
     """A value that overflows to inf or NaN is a convergence error, not a
     printed non-finite number with exit 0."""
@@ -456,6 +464,17 @@ class TestTable:
         assert main(["table", "--m", "2:1", "--n", "0", "--format", "json",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["rows"] == []
+
+    def test_huge_range_exit_3_no_file(self, capsys, tmp_path):
+        # the bounds are checked before the range is built, so a bound of
+        # 1e18 is one domain error, not a MemoryError
+        out = tmp_path / "t.csv"
+        for flags in (["--m", "0:1000000000000000000", "--n", "0"],
+                      ["--m", "0", "--n", "1000000000000000000"]):
+            assert main(["table", *flags, "--out", str(out)]) == 3
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("ERROR 3: indices must lie in")
+            assert not out.exists()
 
     def test_bad_gamma_exit_3_no_file(self, capsys, tmp_path):
         out = tmp_path / "t.csv"

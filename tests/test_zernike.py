@@ -458,8 +458,12 @@ class TestContourArrays:
         for z in (0.3 + 0.2j, 0.9 + 0j, np.array([0.1, 0.9])):
             with pytest.raises(NonConvergentError):
                 eval_contour_adaptive(p, z)
-        with pytest.raises(NonConvergentError):
-            eval_contour(p, 0.9 + 0j, 64)
+        # the fixed rule rejects an overflowing pass as the adaptive one does
+        for z in (0.9 + 0j, 0.3 + 0.2j, np.array([0.1, 0.3 + 0.2j])):
+            with pytest.raises(NonConvergentError):
+                eval_contour(p, z, 64)
+        with pytest.raises(NonConvergentError, match=r"not finite.*0\.3\+0\.2j"):
+            eval_contour(p, 0.3 + 0.2j, 64)
 
 
 class TestRodriguesExpr:
@@ -474,9 +478,26 @@ class TestRodriguesExpr:
                     assert algebra.equal(r, e, tol=tol), p
 
     def test_polynomial_shape(self):
-        r = rodrigues_expr(ZernikeParams(3, 2, 0.5))
-        assert r.base_offset == 0.0
-        assert all(k >= 0 for (_, _, k) in r.terms)
+        # at gamma = 0.1, gamma + m + n rounds, and the offset must still be
+        # the int 0, not the rounding's leftover
+        for g in (0.5, 0.1):
+            for m, n in ((3, 2), (0, 1), (0, 4), (4, 3)):
+                r = rodrigues_expr(ZernikeParams(m, n, g))
+                assert r.base_offset == 0 and type(r.base_offset) is int, (m, n, g)
+                assert all(k >= 0 for (_, _, k) in r.terms)
+
+    def test_matches_explicit_on_the_circle(self):
+        # u = 0 there, so only the u^0 terms count, and a leftover offset
+        # made them vanish or diverge
+        pts = (1.0, cmath.exp(0.7j), (1 + 1e-13) * cmath.exp(2j))
+        for g in (0.1, 0.3, -0.7, 2.3):
+            for m in range(5):
+                for n in range(5):
+                    p = ZernikeParams(m, n, g)
+                    for z in pts:
+                        want = eval_explicit(p, z)
+                        assert eval_rodrigues(p, z) == pytest.approx(want, rel=1e-12), \
+                            (m, n, g, z)
 
     def test_golden_dump(self):
         r = rodrigues_expr(ZernikeParams(2, 1, 0.5))
