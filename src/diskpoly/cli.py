@@ -3,17 +3,15 @@ suites, compute transforms, and export value tables.
 
 Exit codes: 0 success, 1 verification rows failed, 2 bad flags (an --out
 path that cannot be written counts as one), 3 domain or convergence error
-(an inf or NaN result counts as one).  Every failure writes one
-machine-parseable line "ERROR <code>: <reason>" to stderr.  All output is
-deterministic for identical flags.
+(an inf or NaN result, or running out of memory, counts as one).  Every
+failure writes one machine-parseable line "ERROR <code>: <reason>" to
+stderr.  All output is deterministic for identical flags.
 """
 
 import argparse
 import cmath
-import csv
 import math
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -124,9 +122,8 @@ def cmd_verify(ns) -> int:
 
 # ----------------------------------------------------------------- table
 
-def _parts(values: np.ndarray) -> list[list[str]]:
-    """The real and the imaginary parts of a complex array as cells."""
-    return [list(map(_f17, part.tolist())) for part in (values.real, values.imag)]
+# (row start, cell separator, row end, row joiner); "\r\n" ends a csv-module row
+_ROW_SHAPES = {"csv": ("", ",", "\r\n", ""), "json": ("    [", ", ", "]", ",\n")}
 
 
 def _quad_column(p, values: np.ndarray, points) -> np.ndarray:
@@ -139,18 +136,24 @@ def _quad_column(p, values: np.ndarray, points) -> np.ndarray:
     return np.array(column, complex)
 
 
-def _table_rows(ns, params, points):
-    """Yield the finished cells of each table row, one (m, n, gamma) block
-    over the whole grid at a time.
+def _table_blocks(ns, params, points, start, sep, end, joiner):
+    """Yield the finished text of each table block, one (m, n, gamma)
+    block over the whole grid at a time, in a row shape of _ROW_SHAPES.
 
     Each column of a block is one array call; the n = 0 transform column
-    has no closed form and is computed point by point.  A block yields no
-    row unless all its cells are finite, and the error names the first
-    non-finite cell in row order, value before transform.
+    has no closed form and is computed point by point.  The point cells are
+    formatted once, and a block's text is one "%" call that fills its value
+    cells in with report._f17's "%.17g".  Every cell is an int or such a
+    number, so none holds ",", '"' or "%" and no CSV cell needs quoting.
+    A block yields no text unless all its cells are finite, and the error
+    names the first non-finite cell in row order, value before transform.
     """
+    if not points:
+        return
     zs = np.array(points, complex)
-    coords = _parts(zs)
-    for p in params:
+    cells = (sep + "%.17g") * (4 if ns.with_cauchy else 2) + end
+    tails = [f"{_f17(z.real)}{sep}{_f17(z.imag)}{cells}" for z in points]
+    for i, p in enumerate(params):
         with np.errstate(all="ignore"):
             cols = [eval_explicit(p, zs)]
             if ns.with_cauchy:
@@ -160,8 +163,10 @@ def _table_rows(ns, params, points):
             for row in zip(*cols):
                 for v in row:
                     _finite(complex(v))
-        head = repeat(str(p.m)), repeat(str(p.n)), repeat(_f17(p.gamma))
-        yield from zip(*head, *coords, *(part for c in cols for part in _parts(c)))
+        head = f"{start}{p.m}{sep}{p.n}{sep}{_f17(p.gamma)}{sep}"
+        template = (joiner if i else "") + head + (joiner + head).join(tails)
+        # each row's re and im parts of each column, as interleaved floats
+        yield template % tuple(np.column_stack(cols).view(float).ravel().tolist())
 
 
 def cmd_table(ns) -> int:
@@ -183,22 +188,19 @@ def cmd_table(ns) -> int:
     header = ["m", "n", "gamma", "re_z", "im_z", "re_val", "im_val"]
     if ns.with_cauchy:
         header.extend(["re_cauchy", "im_cauchy"])
-    rows = _table_rows(ns, params, points)
+    blocks = _table_blocks(ns, params, points, *_ROW_SHAPES[ns.format])
+    n_rows = len(params) * len(points)
     path = ns.out if ns.out else f"table.{ns.format}"
     with open(path, "w", newline="") as fh:
         if ns.format == "csv":
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+            fh.write(",".join(header) + "\r\n")
         else:
             fh.write('{\n  "header": [%s],\n  "rows": [\n'
                      % ", ".join(f'"{h}"' for h in header))
-            sep = ""
-            for cells in rows:
-                fh.write("%s    [%s]" % (sep, ", ".join(cells)))
-                sep = ",\n"
-            fh.write("\n  ]\n}\n" if sep else "  ]\n}\n")
-    print(f"wrote {len(params) * len(points)} rows -> {path}")
+        fh.writelines(blocks)
+        if ns.format == "json":
+            fh.write("\n  ]\n}\n" if n_rows else "  ]\n}\n")
+    print(f"wrote {n_rows} rows -> {path}")
     return 0
 
 
@@ -300,6 +302,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # an --out path that cannot be written
         print(f"ERROR 2: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a request too large to hold, such as a huge table grid
+        print("ERROR 3: not enough memory for this request", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

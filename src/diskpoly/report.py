@@ -61,7 +61,7 @@ def make_report(suite: str, rows) -> VerifyReport:
 
 
 def _f17(x: float) -> str:
-    return format(float(x), ".17g")
+    return "%.17g" % float(x)
 
 
 def to_json(report: VerifyReport) -> str:

@@ -5,6 +5,7 @@ determinism claim is checked byte for byte.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -235,6 +236,15 @@ class TestEvalErrorContract:
         assert "at most 65536" in err
 
 
+def _run_cli(argv, **kwargs):
+    """Run main(argv) in a fresh interpreter on this checkout's package."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys; from diskpoly.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code] + argv, capture_output=True,
+                          text=True, env=env, timeout=120, **kwargs)
+
+
 def _one_error_3(rc, err):
     lines = err.splitlines()
     return rc == 3 and len(lines) == 1 and lines[0].startswith("ERROR 3: ")
@@ -321,12 +331,7 @@ class TestFiniteContract:
     def test_overflowing_contour_one_stderr_line(self, args):
         # in a fresh interpreter, so a numpy RuntimeWarning would reach
         # stderr instead of pytest's warning capture
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        code = "import sys; from diskpoly.cli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "eval", "--method", "contour"] + args,
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_cli(["eval", "--method", "contour"] + args)
         assert _one_error_3(proc.returncode, proc.stderr), (proc.returncode, proc.stderr)
         assert proc.stdout == ""
 
@@ -339,17 +344,30 @@ class TestFiniteContract:
     def test_overflowing_table_one_stderr_line(self, tmp_path, args):
         # the table's array blocks, in a fresh interpreter as above
         out = tmp_path / "t.csv"
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        code = "import sys; from diskpoly.cli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "table", "--m", "64", "--n", "64",
-             "--gammas", "1000", "--with-cauchy", "--out", str(out)] + args,
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_cli(["table", "--m", "64", "--n", "64", "--gammas", "1000",
+                         "--with-cauchy", "--out", str(out)] + args)
         assert _one_error_3(proc.returncode, proc.stderr), (proc.returncode, proc.stderr)
         assert "value is not finite" in proc.stderr
         assert out.read_text().splitlines() == [
             "m,n,gamma,re_z,im_z,re_val,im_val,re_cauchy,im_cauchy"]
+
+    def test_grid_beyond_memory_exit_3(self, tmp_path):
+        # 1e10 points under a 600 MB address-space limit: the point list
+        # runs out of memory before the file is opened
+        resource = pytest.importorskip("resource")
+        limit = 600 << 20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        out = tmp_path / "t.csv"
+        proc = _run_cli(["table", "--m", "0", "--n", "0", "--r-steps", "100000",
+                         "--theta-steps", "100000", "--out", str(out)],
+                        preexec_fn=cap_memory)
+        assert proc.returncode == 3, (proc.returncode, proc.stderr)
+        assert proc.stderr == "ERROR 3: not enough memory for this request\n"
+        assert proc.stdout == ""
+        assert not out.exists()
 
     def test_non_finite_table_cell_exit_3(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
@@ -421,6 +439,24 @@ class TestUnwritableOut:
         lines = err.splitlines()
         assert rc == 2 and len(lines) == 1 and lines[0].startswith("ERROR 2: "), (rc, err)
         assert str(out) in lines[0]
+
+
+# case id -> (table flags, sha256 of the CSV and of the JSON output)
+GOLDEN_TABLES = {
+    "n0-column": ("--m 0:3 --n 0:3 --gammas=-0.5,0,2.5 --r-steps 3 --theta-steps 8 --with-cauchy", {
+        "csv": "15daec8a4cbf17b8023b88c81336d5271721ed9dc6077f89c5b1142abdd9f6c0",
+        "json": "77483bede3e377d8e48e7cd547d926cfdd755ed7715738dcc8f8414b5cabe0bd"}),
+    "boundary": ("--m 0:2 --n 1:2 --gammas=0.5,1e-300 --r-steps 2 --theta-steps 3"
+                 " --include-boundary --with-cauchy", {
+        "csv": "afc8dc0b56c571df88da41e50db34ca8bb46537c0b09f8af3d358e1f1e7d630c",
+        "json": "c9f180c715233f3d78308fbf493828f6d9e29891e5ae26dcd795e160d00a0a16"}),
+    "no-points": ("--m 0:3 --n 0:3 --r-steps 0 --theta-steps 5", {
+        "csv": "fe54a1d3ac2e0e67e95e6348d193ab8ccb3d6cfbe3ebe4c16797be8e00110384",
+        "json": "54f117b0aa1b3044f0eb46b24a96d786ef08fb041dac9d5467fa6170172de18d"}),
+    "empty-range": ("--m 2:1 --n 0", {
+        "csv": "fe54a1d3ac2e0e67e95e6348d193ab8ccb3d6cfbe3ebe4c16797be8e00110384",
+        "json": "54f117b0aa1b3044f0eb46b24a96d786ef08fb041dac9d5467fa6170172de18d"}),
+}
 
 
 class TestTable:
@@ -512,6 +548,16 @@ class TestTable:
                          "--format", fmt, "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert len(paths[0].read_bytes()) > 10000
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", list(GOLDEN_TABLES))
+    def test_golden_bytes(self, capsys, tmp_path, case, fmt):
+        # sha256 of each table as the csv-module writer produced it; the
+        # block writer must reproduce every byte
+        flags, sha256 = GOLDEN_TABLES[case]
+        out = tmp_path / f"t.{fmt}"
+        assert main(["table", *flags.split(), "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256[fmt]
 
     @pytest.mark.parametrize("bad, want", [
         ({(1, 1): math.inf, (2, 0): math.nan}, "inf, 0.0"),
