@@ -11,6 +11,23 @@ whose point spectrum below the continuum is nu(2m+1) - m(m+1) for
 integers 0 <= m < nu - 1/2.  Eigenfunctions are built by applying the
 raising operator repeatedly to the weight-dressed ground states, and a
 rescaling by a u-power carries them onto the disk polynomial family.
+
+The operators act termwise, in one pass with one constructor call.  On a
+canonical term c z^a zbar^b u^(g+k), min(a, b) = 0, write q = g + k; the
+offset g is kept.
+
+  nabla(alpha)           a > 0: (q+alpha) c at (a-1, 0, k) and
+                                -(q+alpha+a) c at (a-1, 0, k+1);
+                         a = 0: (q+alpha) c at (0, b+1, k)
+  nabla_star(alpha)      b > 0: (alpha+1-q) c at (0, b-1, k) and
+                                (b-(alpha+1-q)) c at (0, b-1, k+1);
+                         b = 0: (alpha+1-q) c at (a+1, 0, k)
+  magnetic_laplacian(nu) (nu^2-q(q-1)) c at (a, b, k) and
+                         (q(q+a+b)-nu(a-b)-nu^2) c at (a, b, k+1)
+
+These follow from the compositions of d_z, d_zbar and products with u, z,
+zbar and z zbar by z zbar = 1 - u, and they hold only for canonical input,
+which every DiskExpr is.
 """
 
 import math
@@ -18,9 +35,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import algebra
-from .algebra import DiskExpr, add, d_z, d_zbar, max_abs_coeff, mul, scale
+from .algebra import DiskExpr, add, max_abs_coeff, mul, scale
 from .errors import DomainError
-from .numerics import pochhammer
+from .numerics import _check_count, pochhammer
 from .zernike import INDEX_CAP, ZernikeParams, explicit_expr
 
 __all__ = [
@@ -36,13 +53,6 @@ __all__ = [
     "bridge_pair",
 ]
 
-_U = DiskExpr.u_power(1.0)
-_U2 = mul(_U, _U)
-_Z = DiskExpr.z_power(1)
-_ZBAR = DiskExpr.zbar_power(1)
-_ZZBAR = DiskExpr({(1, 1, 0): 1.0})
-
-
 @dataclass(frozen=True)
 class SpectralParams:
     """Twist strength nu with an admissible level m and angular index n."""
@@ -56,33 +66,63 @@ class SpectralParams:
             raise DomainError(f"twist strength must be finite, got {self.nu!r}")
         if self.nu <= 0.5:
             raise DomainError(f"discrete levels need nu > 1/2, got {self.nu}")
-        if not isinstance(self.m, int) or self.m < 0:
-            raise DomainError(f"level must be a nonnegative integer, got {self.m!r}")
-        if not self.m < self.nu - 0.5:
-            raise DomainError(
-                f"level {self.m} is not below the continuum for nu = {self.nu}")
-        if not (isinstance(self.n, int) and 0 <= self.n <= INDEX_CAP):
-            raise DomainError(f"angular index must lie in [0, {INDEX_CAP}], got {self.n!r}")
+        m = _check_count(self.m, 0, "level")
+        if not m < self.nu - 0.5:
+            raise DomainError(f"level {m} is not below the continuum for nu = {self.nu}")
+        n = _check_count(self.n, 0, "angular index")
+        if n > INDEX_CAP:
+            raise DomainError(f"angular index must lie in [0, {INDEX_CAP}], got {n}")
         object.__setattr__(self, "nu", float(self.nu))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
 
 def nabla(alpha: float, e: DiskExpr) -> DiskExpr:
-    """Raising-type ladder operator -u d_z + alpha zbar."""
-    return add(scale(mul(_U, d_z(e)), -1.0), scale(mul(_ZBAR, e), alpha))
+    """Raising-type ladder operator -u d_z + alpha zbar, termwise."""
+    g = e.base_offset
+    out: dict[tuple[int, int, int], complex] = {}
+    for (a, b, k), c in e.terms.items():
+        w = (g + k + alpha) * c
+        if a:
+            key = (a - 1, 0, k)
+            out[key] = out.get(key, 0) + w
+            key = (a - 1, 0, k + 1)
+            out[key] = out.get(key, 0) - w - a * c
+        else:
+            key = (0, b + 1, k)
+            out[key] = out.get(key, 0) + w
+    return DiskExpr(out, g)
 
 
 def nabla_star(alpha: float, e: DiskExpr) -> DiskExpr:
-    """Formal adjoint u d_zbar + (alpha + 1) z."""
-    return add(mul(_U, d_zbar(e)), scale(mul(_Z, e), alpha + 1.0))
+    """Formal adjoint u d_zbar + (alpha + 1) z, termwise."""
+    g = e.base_offset
+    out: dict[tuple[int, int, int], complex] = {}
+    for (a, b, k), c in e.terms.items():
+        w = (alpha + 1 - (g + k)) * c
+        if b:
+            key = (0, b - 1, k)
+            out[key] = out.get(key, 0) + w
+            key = (0, b - 1, k + 1)
+            out[key] = out.get(key, 0) + b * c - w
+        else:
+            key = (a + 1, 0, k)
+            out[key] = out.get(key, 0) + w
+    return DiskExpr(out, g)
 
 
 def magnetic_laplacian(nu: float, e: DiskExpr) -> DiskExpr:
-    e_zbar = d_zbar(e)
-    mixed = scale(mul(_U2, d_z(e_zbar)), -1.0)
-    drift = add(mul(_Z, d_z(e)), scale(mul(_ZBAR, e_zbar), -1.0))
-    drift = scale(mul(_U, drift), -nu)
-    potential = scale(mul(_ZZBAR, e), nu * nu)
-    return add(add(mixed, drift), potential)
+    """L_nu, termwise."""
+    g = e.base_offset
+    nu2 = nu * nu
+    out: dict[tuple[int, int, int], complex] = {}
+    for (a, b, k), c in e.terms.items():
+        q = g + k
+        key = (a, b, k)
+        out[key] = out.get(key, 0) + (nu2 - q * (q - 1)) * c
+        key = (a, b, k + 1)
+        out[key] = out.get(key, 0) + (q * (q + a + b) - nu * (a - b) - nu2) * c
+    return DiskExpr(out, g)
 
 
 def eigenvalue(nu: float, m: int) -> float:

@@ -69,7 +69,9 @@ class ZernikeParams:
     gamma: float
 
     def __post_init__(self):
-        _check_indices(self.m, self.n)
+        m, n = _check_indices(self.m, self.n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
         g = self.gamma
         if not isinstance(g, (int, float)):
             raise DomainError(f"weight exponent must be a real number, got {g!r}")
@@ -77,12 +79,16 @@ class ZernikeParams:
         object.__setattr__(self, "gamma", float(g))
 
 
-def _check_indices(m: int, n: int):
-    """Raise DomainError unless m and n are ints in [0, INDEX_CAP]."""
-    if not (isinstance(m, int) and isinstance(n, int)):
-        raise DomainError("indices must be integers")
+def _check_indices(m: int, n: int) -> tuple[int, int]:
+    """Return m and n as ints; raise DomainError unless both are integers
+    (anything ``operator.index`` takes) in [0, INDEX_CAP]."""
+    try:
+        m, n = operator.index(m), operator.index(n)
+    except TypeError:
+        raise DomainError("indices must be integers") from None
     if not (0 <= m <= INDEX_CAP and 0 <= n <= INDEX_CAP):
         raise DomainError(f"indices must lie in [0, {INDEX_CAP}], got ({m}, {n})")
+    return m, n
 
 
 def _check_disk(z: complex, strict: bool = False,
@@ -444,11 +450,7 @@ def norm_squared(p: ZernikeParams) -> float:
 
 def hermite(m: int, n: int, z: complex) -> complex:
     """Complex Hermite polynomial with the same double-sum shape."""
-    try:
-        m, n = operator.index(m), operator.index(n)
-    except TypeError:
-        raise DomainError("indices must be integers") from None
-    _check_indices(m, n)
+    m, n = _check_indices(m, n)
     z = complex(z)
     zb = z.conjugate()
     acc = 0j

@@ -1,8 +1,22 @@
 """Tests for the ladder operators and the twisted Laplacian."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diskpoly.algebra import DiskExpr, dump, equal, eval_expr, max_abs_coeff
+from diskpoly.algebra import (
+    DiskExpr,
+    add,
+    d_z,
+    d_zbar,
+    dump,
+    equal,
+    eval_expr,
+    max_abs_coeff,
+    mul,
+    scale,
+)
 from diskpoly.errors import DomainError
 from diskpoly.sampling import Lcg64
 from diskpoly.spectral import (
@@ -42,6 +56,17 @@ class TestParams:
         with pytest.raises(DomainError):
             SpectralParams(2.0, 0, 65)
 
+    @pytest.mark.parametrize("m, n", [(np.int64(1), 0), (1, np.int32(3)), (True, np.uint8(3))])
+    def test_integer_like_indices_stored_as_int(self, m, n):
+        sp = SpectralParams(2.5, m, n)
+        assert type(sp.m) is int and type(sp.n) is int
+        assert sp == SpectralParams(2.5, 1, int(n))
+
+    @pytest.mark.parametrize("m, n", [(1.0, 0), (1, 3.0), (np.float64(1), 0), ("1", 0)])
+    def test_non_integer_indices_rejected(self, m, n):
+        with pytest.raises(DomainError):
+            SpectralParams(2.5, m, n)
+
     def test_eigenvalue_and_gamma(self):
         assert eigenvalue(2.5, 1) == 2.5 * 3 - 2
         assert gamma_equivalent(2.5, 1) == 2.0
@@ -68,7 +93,6 @@ class TestOperators:
         e = DiskExpr({(2, 0, 0): 1.0, (0, 1, 1): 1j}, 0.5)
         alpha = 1.75
         z = 0.3 - 0.2j
-        from diskpoly.algebra import d_z
         u = 1 - abs(z) ** 2
         want = -u * eval_expr(d_z(e), z) + alpha * z.conjugate() * eval_expr(e, z)
         assert eval_expr(nabla(alpha, e), z) == pytest.approx(want, rel=1e-13)
@@ -77,7 +101,6 @@ class TestOperators:
         e = DiskExpr({(1, 1, 0): 2.0}, 1.0)
         alpha = 0.5
         z = 0.25 + 0.4j
-        from diskpoly.algebra import d_zbar
         u = 1 - abs(z) ** 2
         want = u * eval_expr(d_zbar(e), z) + (alpha + 1) * z * eval_expr(e, z)
         assert eval_expr(nabla_star(alpha, e), z) == pytest.approx(want, rel=1e-13)
@@ -151,3 +174,63 @@ class TestPsiCache:
             assert psi.cache_info().hits >= 2
             assert warm_res == cold_res
             assert all(self._same(a, b) for a, b in zip(warm_pair, cold_pair))
+
+
+# The operators as compositions of the algebra ops, with int constants so
+# that Fraction inputs stay exact; each one-pass operator must match these.
+
+_U = DiskExpr.u_power(1)
+_Z = DiskExpr.z_power(1)
+_ZBAR = DiskExpr.zbar_power(1)
+_ZZBAR = DiskExpr({(1, 1, 0): 1})
+
+
+def nabla_composed(alpha, e):
+    return add(scale(mul(_U, d_z(e)), -1), scale(mul(_ZBAR, e), alpha))
+
+
+def nabla_star_composed(alpha, e):
+    return add(mul(_U, d_zbar(e)), scale(mul(_Z, e), alpha + 1))
+
+
+def magnetic_laplacian_composed(nu, e):
+    e_zbar = d_zbar(e)
+    mixed = scale(mul(mul(_U, _U), d_z(e_zbar)), -1)
+    drift = add(mul(_Z, d_z(e)), scale(mul(_ZBAR, e_zbar), -1))
+    drift = scale(mul(_U, drift), -nu)
+    potential = scale(mul(_ZZBAR, e), nu * nu)
+    return add(add(mixed, drift), potential)
+
+
+OPERATORS = [(nabla, nabla_composed), (nabla_star, nabla_star_composed),
+             (magnetic_laplacian, magnetic_laplacian_composed)]
+OPERATOR_IDS = ["nabla", "nabla_star", "magnetic_laplacian"]
+
+raw_keys = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2))
+fractions = st.fractions(-4, 4, max_denominator=12)
+exact_exprs = st.builds(DiskExpr, st.dictionaries(raw_keys, fractions, max_size=6),
+                        st.one_of(st.integers(-2, 3), fractions))
+float_parts = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+float_exprs = st.builds(DiskExpr,
+                        st.dictionaries(raw_keys, st.builds(complex, float_parts, float_parts),
+                                        max_size=6),
+                        st.one_of(st.integers(-2, 3), float_parts))
+
+
+@pytest.mark.parametrize("op, composed", OPERATORS, ids=OPERATOR_IDS)
+@given(e=exact_exprs, nu=st.one_of(st.integers(-3, 3), fractions))
+@settings(max_examples=100, deadline=None)
+def test_operator_matches_composition_exactly(op, composed, e, nu):
+    got, want = op(nu, e), composed(nu, e)
+    assert got.terms == want.terms and got.base_offset == want.base_offset
+
+
+@pytest.mark.parametrize("op, composed", OPERATORS, ids=OPERATOR_IDS)
+@given(e=float_exprs, nu=float_parts)
+@settings(max_examples=150, deadline=None)
+def test_operator_matches_composition_in_floats(op, composed, e, nu):
+    got, want = op(nu, e), composed(nu, e)
+    # a coefficient that cancels keeps only rounding noise of its operands'
+    # size, so the input's coefficients count in the scale too
+    top = max(max_abs_coeff(e), max_abs_coeff(got), max_abs_coeff(want))
+    assert equal(got, want, tol=1e-12 * top)

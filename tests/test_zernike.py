@@ -54,6 +54,17 @@ class TestParams:
     def test_gamma_coerced_to_float(self):
         assert ZernikeParams(1, 1, 2).gamma == 2.0
 
+    @pytest.mark.parametrize("m, n", [(np.int64(2), 1), (2, np.int32(1)), (np.uint8(2), True)])
+    def test_integer_like_indices_stored_as_int(self, m, n):
+        p = ZernikeParams(m, n, 0.5)
+        assert type(p.m) is int and type(p.n) is int
+        assert p == ZernikeParams(2, 1, 0.5) and hash(p) == hash(ZernikeParams(2, 1, 0.5))
+
+    @pytest.mark.parametrize("m, n", [(2.0, 1), (2, np.float64(1)), ("2", 1), (None, 1)])
+    def test_non_integer_indices_rejected(self, m, n):
+        with pytest.raises(DomainError):
+            ZernikeParams(m, n, 0.5)
+
 
 class TestKnownValues:
     def test_low_degree_closed_forms(self):
