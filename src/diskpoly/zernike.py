@@ -259,8 +259,20 @@ def _contour_prefactors(p: ZernikeParams, zs: np.ndarray) -> list[float]:
 def _contour_sum(p: ZernikeParams, zs: np.ndarray,
                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sums over the nodes t of the summand and of its modulus, one of each
-    per point of the 1-D array zs; the prefactor is left out."""
-    m, n, g = p.m, p.n, p.gamma
+    per point of the 1-D array zs; the prefactor is left out.
+
+    The weight power w^e, w = 1 - t conj(z), e = gamma + m, is taken one of
+    two ways.  For an integer e it is numpy's complex ``w ** e``, which
+    multiplies by repeated squaring.  Otherwise numpy would fall back to
+    libm ``cpow``, which makes a summand entry cost about three times as
+    much, so it is taken in real polar form,
+    |w|^e (cos(e arg w) + i sin(e arg w)): the principal branch, since
+    Re w > 0 for |z| < 1, and the same exp(e log w) that ``cpow``
+    computes, to within a few e ulps.  Those digits come from numpy's SIMD
+    ``power``, ``arctan2``, ``cos`` and ``sin``, so reruns on one machine
+    are byte-identical but the last bit may differ across CPUs.
+    """
+    m, n, e = p.m, p.n, p.gamma + p.m
     tn = t ** (n + 1)
     sums = np.empty(len(zs), complex)
     mods = np.empty(len(zs))
@@ -271,7 +283,18 @@ def _contour_sum(p: ZernikeParams, zs: np.ndarray,
         # adaptive rule and the CLI reject; a numpy warning would only
         # add a second line to the CLI's one-line error
         with np.errstate(all="ignore"):
-            vals = tn * (1.0 - t * zc.conjugate()) ** (g + m) / (zc - t) ** (m + 1)
+            w = 1.0 - t * zc.conjugate()
+            if e.is_integer():
+                wpow = w ** e
+            else:
+                # setting the two parts in place is cheaper than
+                # r * np.exp(1j * arg)
+                r = np.abs(w) ** e
+                arg = e * np.arctan2(w.imag, w.real)
+                wpow = np.empty_like(w)
+                wpow.real = r * np.cos(arg)
+                wpow.imag = r * np.sin(arg)
+            vals = tn * wpow / (zc - t) ** (m + 1)
             sums[i:i + step] = vals.sum(axis=1)
             mods[i:i + step] = np.abs(vals).sum(axis=1)
     return sums, mods
@@ -295,10 +318,15 @@ def _shaped(values: list[complex], z: complex | np.ndarray) -> complex | np.ndar
 def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> complex | np.ndarray:
     """Boundary integral with a fixed number of trapezoid nodes.
 
-    On |t| = 1 the two distance factors have equal modulus, so the summand
-    never develops large cancellation; accuracy improves geometrically
-    like |z|^N.  ``z`` may be a scalar or an ndarray, as for
-    ``eval_explicit``; ``n_nodes`` lies in [16, MAX_NODES].
+    The trapezoid error falls geometrically like |z|^N.  The node sum can
+    cancel heavily, though: the u^-gamma prefactor is paid back by
+    cancellation on |t| = 1, which grows with gamma and |z|, and so is
+    (z - t)^-(m+1) when m is much larger than n.  Then the value is
+    finite but wrong, with no error: at (2, 2), gamma = 30,
+    z = 0.6885+0.5798i it is 7.7e16 + 1.3e17i for 708612.41 (ROADMAP
+    items 2-3).
+    ``z`` may be a scalar or an ndarray, as for ``eval_explicit``;
+    ``n_nodes`` lies in [16, MAX_NODES].
     """
     z = _check_disk(z, strict=True, arrays=True)
     n_nodes = _check_count(n_nodes, 16, "contour node count")

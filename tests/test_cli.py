@@ -327,7 +327,10 @@ class TestFiniteContract:
         BIG[:6] + ["--z", "0.9,0", "--contour-nodes", "64"],
         ["--m", "64", "--n", "64", "--gamma", "-0.99", "--z", "0.999999,0"],
         ["--m", "64", "--n", "0", "--gamma", "1e300", "--z", "0.1,0"],
-    ], ids=["summand", "prefactor", "prefactor-fixed", "near-boundary", "huge-gamma"])
+        # a fractional gamma + m takes the weight power in polar form
+        ["--m", "0", "--n", "0", "--gamma", "1800.5", "--z", "0.5,0"],
+    ], ids=["summand", "prefactor", "prefactor-fixed", "near-boundary", "huge-gamma",
+            "summand-fractional"])
     def test_overflowing_contour_one_stderr_line(self, args):
         # in a fresh interpreter, so a numpy RuntimeWarning would reach
         # stderr instead of pytest's warning capture

@@ -476,6 +476,50 @@ class TestContourArrays:
         with pytest.raises(NonConvergentError, match=r"not finite.*0\.3\+0\.2j"):
             eval_contour(p, 0.3 + 0.2j, 64)
 
+    def test_overflowing_polar_power_is_a_convergence_error(self):
+        # |w|^(gamma+m) overflows on the polar path for a fractional
+        # exponent: |1 - t/2|^1800.5 reaches 1.5^1800.5
+        p = ZernikeParams(0, 0, 1800.5)
+        with pytest.raises(NonConvergentError, match="not finite"):
+            eval_contour(p, 0.5, 64)
+        with pytest.raises(NonConvergentError, match="not finite"):
+            eval_contour_adaptive(p, 0.5)
+
+
+class TestContourKernel:
+    """The node sum against the one-line summand that numpy evaluates with
+    its complex pow: bit for bit where gamma + m is an integer, within a few
+    (gamma + m) ulps of libm cpow, relative to the L1 scale, elsewhere."""
+
+    PTS = disk_points(DEFAULT_SEED + 2, 8, 0.8)  # the contour suite's points
+
+    @staticmethod
+    def _pow_summand_sums(p, zs, t):
+        m, n, g = p.m, p.n, p.gamma
+        tn = t ** (n + 1)
+        zc = zs[:, None]
+        vals = tn * (1 - t * zc.conj()) ** (g + m) / (zc - t) ** (m + 1)
+        return vals.sum(axis=1), np.abs(vals).sum(axis=1)
+
+    @pytest.mark.parametrize("n_nodes", [64, 512])
+    @pytest.mark.parametrize("g", [-0.9, -0.5, 0.0, 0.37, 1.0, 2.5, 30.5])
+    def test_matches_pow_summand(self, g, n_nodes):
+        zs = np.array(self.PTS)
+        t = zernike._roots_of_unity(n_nodes)
+        for m in range(9):
+            for n in range(9):
+                p = ZernikeParams(m, n, g)
+                sums, mods = zernike._contour_sum(p, zs, t)
+                want_sums, want_mods = self._pow_summand_sums(p, zs, t)
+                e = g + m
+                if e.is_integer():
+                    assert sums.tobytes() == want_sums.tobytes(), (m, n, g)
+                    assert mods.tobytes() == want_mods.tobytes(), (m, n, g)
+                else:
+                    tol = 64 * max(abs(e), 1) * 2.0**-52 * want_mods
+                    assert np.all(np.abs(sums - want_sums) <= tol), (m, n, g)
+                    assert np.all(np.abs(mods - want_mods) <= tol), (m, n, g)
+
 
 class TestRodriguesExpr:
     def test_matches_explicit_expression(self):
