@@ -137,6 +137,8 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     inside = uw > 0.0
     vals = np.zeros(w.shape, complex)
     vals[inside] = f(w[inside]) * uw[inside] ** gamma
-    ring = vals @ (wtau * jac)
+    # elementwise, not ``@``: a complex matrix-vector product wakes the
+    # BLAS thread pool, which costs more than the sum itself
+    ring = (vals * (wtau * jac)).sum(axis=1)
     acc = np.sum(reach * ring * e.conjugate())
     return complex(acc * (2.0 * np.pi / n_theta) / np.pi)

@@ -25,7 +25,6 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -118,8 +117,8 @@ def _signed_counts(m: int, n: int):
         yield j, (-1) ** j * comb(m, j) * comb(n, j) * factorial(j)
 
 
-# typed: 0.5 and Fraction(1, 2) are equal keys, and the exact inner
-# product must never be served the float entry
+# typed: 0.5 and Fraction(1, 2) are equal keys, and a caller asking for
+# exact Fraction terms must never be served the float entry
 @lru_cache(maxsize=256, typed=True)
 def _explicit_terms(m: int, n: int, g) -> tuple:
     """Terms (z-power, zbar-power, u-power, coefficient) of the explicit sum.
@@ -130,6 +129,21 @@ def _explicit_terms(m: int, n: int, g) -> tuple:
     """
     return tuple((n - j, m - j, j, c * pochhammer(g + j + 1, m + n - j))
                  for j, c in _signed_counts(m, n))
+
+
+def _scaled_terms(m: int, n: int, f: list) -> list:
+    """Integer numerators of the explicit sum's coefficients, by u-power.
+
+    With gamma + i = f[i] / Q, the coefficient of term j is
+    (-1)^j C(m,j) C(n,j) j! prod_{i=j+1}^{m+n} f[i] over Q^(m+n-j);
+    entry j of the list is that numerator.
+    """
+    counts = [c for _, c in _signed_counts(m, n)]
+    rising = math.prod(f[len(counts):m + n + 1])
+    for j in reversed(range(len(counts))):
+        counts[j] *= rising
+        rising *= f[j]
+    return counts
 
 
 def eval_explicit(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
@@ -442,34 +456,53 @@ def inner_product(p1: ZernikeParams, p2: ZernikeParams) -> float:
     J = j1 + j2 and D = (m1+n1+m2+n2)/2 - J, so the moment depends on J
     alone.  The sum is therefore grouped by J: the two coefficient lists
     are convolved first, and each J then takes one moment, so there are
-    O(n1 + n2) moments instead of O(n1 n2).  Everything runs over exact
-    rationals (gamma is a rational number once stored as a float) and
-    rounds once at the end, so the heavy cancellation among coefficient
+    O(n1 + n2) moments instead of O(n1 n2).  A float gamma is P/Q with
+    Q = 2^e, so every term is an integer over a power of Q, and the whole
+    sum is one fraction N / D of scaled integers.  Python's int division
+    rounds it correctly, once, so the heavy cancellation among coefficient
     products (~1e13 at indices around 5) costs nothing.  No 2D grid is
-    ever formed.
+    ever formed.  Raises NonConvergentError when the value overflows a
+    float (at the index cap, for instance).
     """
     if p1.gamma != p2.gamma:
         raise ParamMismatchError(
             f"weight exponents differ: {p1.gamma:g} vs {p2.gamma:g}")
     if p1.n - p1.m != p2.n - p2.m:
         return 0.0
-    g = Fraction(p1.gamma)
-    t1 = _explicit_terms(p1.m, p1.n, g)
-    t2 = _explicit_terms(p2.m, p2.n, g)
-    # term j of the explicit sum carries u^j, so J indexes the convolution
-    conv = [0] * (len(t1) + len(t2) - 1)
-    for _, _, j1, v1 in t1:
-        for _, _, j2, v2 in t2:
-            conv[j1 + j2] += v1 * v2
-    # D = half - J; the moment's (g+J+1)_{D+1} is (g+J+1) times the one
-    # at J + 1, so the rising factorials are built from the top J down
+    # gamma + i = f_i / Q with f_i > 0 for i >= 1, since gamma > -1
+    P, Q = p1.gamma.as_integer_ratio()
     half = (p1.m + p1.n + p2.m + p2.n) // 2
-    rising = pochhammer(g + len(conv) + 1, half - len(conv) + 1)
-    total = Fraction(0)
-    for J in reversed(range(len(conv))):
-        rising *= g + J + 1
-        total += conv[J] * factorial(half - J) / rising
-    return math.pi * float(total)
+    f = [P + i * Q for i in range(max(p1.m + p1.n, p2.m + p2.n, half + 1) + 1)]
+    t1 = _scaled_terms(p1.m, p1.n, f)
+    t2 = _scaled_terms(p2.m, p2.n, f)
+    # term j carries u^j, so J indexes the convolution; every J shares
+    # the factor Q^(1-half), which goes into the denominator below
+    conv = [0] * (len(t1) + len(t2) - 1)
+    for j1, v1 in enumerate(t1):
+        for j2, v2 in enumerate(t2):
+            conv[j1 + j2] += v1 * v2
+    # the moment at J is pi (half-J)! Q^(half-J+1) / prod_{i=J+1}^{half+1} f_i;
+    # over the common denominator prod_{i=1}^{half+1} f_i it takes the
+    # prefix product prod_{i=1}^{J} f_i
+    num, prefix = 0, 1
+    for J, c in enumerate(conv):
+        num += c * factorial(half - J) * prefix
+        prefix *= f[J + 1]
+    den = math.prod(f[len(conv) + 1:half + 2], start=prefix)
+    if half:
+        den *= Q ** (half - 1)
+    else:
+        num *= Q
+    try:
+        ratio = num / den
+    except OverflowError:
+        ratio = math.inf
+    v = math.pi * ratio
+    if math.isinf(v):
+        raise NonConvergentError(
+            f"inner product overflows for (m1={p1.m}, n1={p1.n}, m2={p2.m}, "
+            f"n2={p2.n}, gamma={p1.gamma:g})")
+    return v
 
 
 def norm_squared(p: ZernikeParams) -> float:

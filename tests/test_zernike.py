@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from numbers import Rational
 from types import SimpleNamespace
@@ -664,6 +665,45 @@ class TestInnerProducts:
             want = math.pi * float(self._naive_sum(exact, terms[a], terms[b]))
             got = inner_product(ZernikeParams(*a, g), ZernikeParams(*b, g))
             assert got.hex() == want.hex(), (a, b)
+
+    @staticmethod
+    def _grouped_fraction_sum(p1, p2):
+        """The grouped sum over Fractions that the scaled-integer sum
+        replaced: one convolution by J, one exact moment per J."""
+        g = Fraction(p1.gamma)
+        t1 = _explicit_terms(p1.m, p1.n, g)
+        t2 = _explicit_terms(p2.m, p2.n, g)
+        conv = [0] * (len(t1) + len(t2) - 1)
+        for _, _, j1, v1 in t1:
+            for _, _, j2, v2 in t2:
+                conv[j1 + j2] += v1 * v2
+        half = (p1.m + p1.n + p2.m + p2.n) // 2
+        rising = pochhammer(g + len(conv) + 1, half - len(conv) + 1)
+        total = Fraction(0)
+        for J in reversed(range(len(conv))):
+            rising *= g + J + 1
+            total += conv[J] * math.factorial(half - J) / rising
+        return math.pi * float(total)
+
+    # the seeded gamma, 0.2343..., has a full 53-bit significand: Q = 2^55
+    @pytest.mark.parametrize("g", [-0.9, 0.5, 2.5, 300.0,
+                                   0.1 + random.Random(1).random()])
+    def test_large_indices_bit_identical_to_fractions(self, g):
+        for a, b in [((40, 40), (40, 40)), ((30, 60), (34, 64)), ((64, 10), (60, 6))]:
+            p1, p2 = ZernikeParams(*a, g), ZernikeParams(*b, g)
+            want = self._grouped_fraction_sum(p1, p2)
+            assert inner_product(p1, p2).hex() == want.hex(), (a, b, g)
+
+    # (64, 64): N / D overflows; (49, 49) at 3.552: N / D fits, pi N / D
+    # does not
+    @pytest.mark.parametrize("m, g", [(64, 0.5), (49, 3.552)])
+    def test_overflow_raises_nonconvergent(self, m, g):
+        p = ZernikeParams(m, m, g)
+        msg = rf"m1={m}, n1={m}, m2={m}, n2={m}, gamma={g:g}\)"
+        with pytest.raises(NonConvergentError, match=msg):
+            inner_product(p, p)
+        with pytest.raises(NonConvergentError, match=msg):
+            norm_squared(p)
 
     def test_differing_charges_give_zero(self):
         assert inner_product(ZernikeParams(3, 5, 1 / 3), ZernikeParams(4, 5, 1 / 3)) == 0.0
