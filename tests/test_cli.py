@@ -311,6 +311,7 @@ class TestFiniteContract:
         ["eval", "--method", "explicit"] + BIG,
         ["eval", "--method", "gauss1"] + BIG,
         ["eval", "--method", "jacobi"] + BIG,
+        ["eval", "--method", "rodrigues"] + BIG,
         ["eval", "--method", "contour"] + BIG,
         ["eval", "--method", "all"] + BIG,
         ["cauchy", "--route", "closed"] + BIG,

@@ -583,6 +583,45 @@ class TestRodriguesExpr:
                                              for a, b, j, c in _explicit_terms(m, n, g)})
                     assert r.terms == want.terms and r.base_offset == want.base_offset
 
+    @pytest.mark.parametrize("g", [Fraction(1, 2), Fraction(5, 2), Fraction(-9, 10),
+                                   Fraction(7, 3)])
+    def test_matches_generic_derivative_chain(self, g):
+        # the charge-line recursion against algebra's generic Wirtinger
+        # derivatives, d_zbar^n then d_z^m, exactly over Fractions
+        for m in range(7):
+            for n in range(7):
+                e = algebra.DiskExpr.u_power(g + m + n)
+                for _ in range(n):
+                    e = algebra.d_zbar(e)
+                for _ in range(m):
+                    e = algebra.d_z(e)
+                r = rodrigues_expr.__wrapped__(SimpleNamespace(m=m, n=n, gamma=g))
+                assert e.base_offset == g and r.base_offset == 0, (m, n, g)
+                sign = (-1) ** (m + n)
+                assert r.terms == {key: sign * c for key, c in e.terms.items()}, (m, n, g)
+
+    # the seeded gamma has a full 53-bit significand: Q = 2^55
+    @pytest.mark.parametrize("g", [-0.9, 0.5, 2.5, 0.1 + random.Random(1).random()])
+    def test_coefficients_correctly_rounded(self, g):
+        for m, n in [(40, 40), (64, 10), (10, 64), (30, 60), (64, 64)]:
+            exact = algebra.DiskExpr({(a, b, j): c for a, b, j, c
+                                      in _explicit_terms(m, n, Fraction(g))})
+            r = rodrigues_expr(ZernikeParams(m, n, g))
+            assert r.base_offset == 0 and type(r.base_offset) is int, (m, n, g)
+            assert r.terms.keys() == exact.terms.keys(), (m, n, g)
+            for key, c in exact.terms.items():
+                assert r.terms[key].hex() == float(c).hex(), (m, n, g, key)
+
+    # 123.456: some coefficients overflow a float; 1000: all of them
+    @pytest.mark.parametrize("g", [123.456, 1000.0])
+    def test_overflow_raises_nonconvergent(self, g):
+        p = ZernikeParams(64, 64, g)
+        msg = rf"m=64, n=64, gamma={g:g}\)"
+        with pytest.raises(NonConvergentError, match=msg):
+            rodrigues_expr(p)
+        with pytest.raises(NonConvergentError, match=msg):
+            eval_rodrigues(p, 0.3 + 0.2j)
+
 
 class TestMonomialCoeffs:
     def test_small_example(self):
