@@ -281,6 +281,9 @@ _PASS_SIZE = 2**18
 # relative to the value, that ends its doubling.
 _START_NODES = 64
 _REL_TOL = 1e-10
+# Largest block, in summand entries, whose n-independent factors are
+# memoised: 8 points at 512 nodes, the suites' largest pass.
+_MEMO_ENTRIES = 2**12
 
 
 @lru_cache(maxsize=32)
@@ -289,6 +292,35 @@ def _roots_of_unity(n_nodes: int) -> np.ndarray:
     t = np.exp(1j * theta)
     t.flags.writeable = False
     return t
+
+
+def _weight_factors(zc: np.ndarray, t: np.ndarray, e: float,
+                    m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The summand's factors w^e, w = 1 - t conj(z), and (z - t)^(m+1)
+    for the column of points zc and the nodes t; see ``_contour_sum``."""
+    w = 1.0 - t * zc.conjugate()
+    if e.is_integer():
+        wpow = w ** e
+    else:
+        # setting the two parts in place is cheaper than r * np.exp(1j * arg)
+        r = np.abs(w) ** e
+        arg = e * np.arctan2(w.imag, w.real)
+        wpow = np.empty_like(w)
+        wpow.real = r * np.cos(arg)
+        wpow.imag = r * np.sin(arg)
+    return wpow, (zc - t) ** (m + 1)
+
+
+@lru_cache(maxsize=16)
+def _memo_weight_factors(zb: bytes, tb: bytes, e: float,
+                         m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_weight_factors`` for the points and nodes whose complex128 bytes
+    are zb and tb, as read-only arrays."""
+    factors = _weight_factors(np.frombuffer(zb, complex)[:, None],
+                              np.frombuffer(tb, complex), e, m)
+    for a in factors:
+        a.flags.writeable = False
+    return factors
 
 
 def _contour_prefactors(p: ZernikeParams, zs: np.ndarray) -> list[float]:
@@ -324,6 +356,17 @@ def _contour_sum(p: ZernikeParams, zs: np.ndarray,
     computes, to within a few e ulps.  Those digits come from numpy's SIMD
     ``power``, ``arctan2``, ``cos`` and ``sin``, so reruns on one machine
     are byte-identical but the last bit may differ across CPUs.
+
+    The index n enters only through t^(n+1); w^e and (z - t)^(m+1) are
+    the same for every n, and the suites run n innermost over one set of
+    points and nodes.  So a block of at most _MEMO_ENTRIES summand
+    entries takes the two from an LRU memo of 16 entries, keyed by the
+    bytes of the block's points, the bytes of the nodes, e and m.  An
+    entry holds two factors of at most 2^12 complex128 values each and a
+    key of at most 2^12 + 1 more, so the memo holds at most about
+    16 x 3 x 2^12 x 16 B = 3 MB, keys included; larger blocks build
+    their factors and drop them.  The factors are built by the same
+    operations either way, so the memo changes no output bit.
     """
     m, n, e = p.m, p.n, p.gamma + p.m
     tn = t ** (n + 1)
@@ -336,18 +379,11 @@ def _contour_sum(p: ZernikeParams, zs: np.ndarray,
         # adaptive rule and the CLI reject; a numpy warning would only
         # add a second line to the CLI's one-line error
         with np.errstate(all="ignore"):
-            w = 1.0 - t * zc.conjugate()
-            if e.is_integer():
-                wpow = w ** e
+            if zc.size * len(t) <= _MEMO_ENTRIES:
+                wpow, d = _memo_weight_factors(zc.tobytes(), t.tobytes(), e, m)
             else:
-                # setting the two parts in place is cheaper than
-                # r * np.exp(1j * arg)
-                r = np.abs(w) ** e
-                arg = e * np.arctan2(w.imag, w.real)
-                wpow = np.empty_like(w)
-                wpow.real = r * np.cos(arg)
-                wpow.imag = r * np.sin(arg)
-            vals = tn * wpow / (zc - t) ** (m + 1)
+                wpow, d = _weight_factors(zc, t, e, m)
+            vals = tn * wpow / d
             sums[i:i + step] = vals.sum(axis=1)
             mods[i:i + step] = np.abs(vals).sum(axis=1)
     return sums, mods

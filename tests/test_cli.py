@@ -17,7 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diskpoly import DomainError, NonConvergentError, ZernikeParams, cli, eval_explicit, pochhammer
+from diskpoly import (
+    DomainError,
+    NonConvergentError,
+    ZernikeParams,
+    cli,
+    eval_explicit,
+    pochhammer,
+    zernike,
+)
 from diskpoly.cli import main
 from diskpoly.report import (
     INFORMATIONAL,
@@ -393,11 +401,41 @@ class TestVerify:
         keys = [(r["identity"], r["params"]) for r in doc["rows"]]
         assert keys == sorted(keys)
 
-    def test_byte_identical_reruns(self, capsys, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        main(["verify", "--suite", "spectral", "--seed", "7", "--out", str(a)])
-        main(["verify", "--suite", "spectral", "--seed", "7", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("suite, flags", [
+        ("spectral", []),
+        # grids small enough that the contour memo still holds the first
+        # run's factors when the second run asks for them
+        ("contour", ["--max-mn", "1", "--gammas", "0.37"]),
+        ("routes", ["--max-mn", "1", "--gammas", "0.37"]),
+    ], ids=["spectral", "contour", "routes"])
+    def test_byte_identical_reruns(self, capsys, tmp_path, suite, flags):
+        memo = zernike._memo_weight_factors
+        memo.cache_clear()
+        paths = tmp_path / "a.json", tmp_path / "b.json"
+        builds = []
+        for path in paths:
+            main(["verify", "--suite", suite, *flags, "--seed", "7", "--out", str(path)])
+            builds.append(memo.cache_info().misses)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        if suite != "spectral":
+            # the second run is served wholly from the first run's entries
+            assert 0 < builds[0] == builds[1]
+
+    def test_contour_memo_serves_most_passes(self, monkeypatch):
+        # w^e and (z - t)^(m+1) do not depend on n, so most passes find
+        # them built; a key that wrongly held n would build them every pass
+        passes = []
+        real = zernike._contour_sum
+
+        def spy(p, zs, t):
+            passes.append(len(zs) * len(t))
+            return real(p, zs, t)
+
+        monkeypatch.setattr(zernike, "_contour_sum", spy)
+        zernike._memo_weight_factors.cache_clear()
+        run_suite("contour", 8)
+        assert max(passes) <= zernike._MEMO_ENTRIES
+        assert zernike._memo_weight_factors.cache_info().misses <= len(passes) / 4
 
     def test_csv_format(self, capsys, tmp_path):
         out = tmp_path / "rep.csv"

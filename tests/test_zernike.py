@@ -521,6 +521,67 @@ class TestContourKernel:
                     assert np.all(np.abs(sums - want_sums) <= tol), (m, n, g)
                     assert np.all(np.abs(mods - want_mods) <= tol), (m, n, g)
 
+    def test_memo_is_bit_identical(self, monkeypatch):
+        # the sums from a warm memo, from a cleared one and with the memo
+        # bypassed; the odd nodes of 128 are a strided view
+        zs = np.array(self.PTS)
+        node_sets = (zernike._roots_of_unity(64), zernike._roots_of_unity(128)[1::2],
+                     zernike._roots_of_unity(512))
+
+        def all_sums():
+            return [zernike._contour_sum(ZernikeParams(m, n, g), zs, t)
+                    for g in (*DEFAULT_GAMMAS, -0.9, 0.37, 30.5)
+                    for t in node_sets for m in range(9) for n in range(9)]
+
+        def as_bytes(runs):
+            return [(sums.tobytes(), mods.tobytes()) for sums, mods in runs]
+
+        warm = as_bytes(all_sums())
+        zernike._memo_weight_factors.cache_clear()
+        cold = as_bytes(all_sums())
+        assert zernike._memo_weight_factors.cache_info().hits > 0
+        monkeypatch.setattr(zernike, "_MEMO_ENTRIES", 0)
+        bypassed = as_bytes(all_sums())
+        assert warm == cold == bypassed
+
+    def test_memo_sees_points_changed_in_place(self):
+        p = ZernikeParams(2, 1, 0.37)
+        t = zernike._roots_of_unity(64)
+        zs = np.array(self.PTS)
+        zernike._contour_sum(p, zs, t)
+        zs[3] = 0.5 - 0.25j
+        got, _ = zernike._contour_sum(p, zs, t)
+        zernike._memo_weight_factors.cache_clear()
+        want, _ = zernike._contour_sum(p, zs, t)
+        assert got.tobytes() == want.tobytes()
+
+    def test_memo_factors_read_only(self):
+        zs = np.array(self.PTS)
+        t = zernike._roots_of_unity(64)
+        for e in (2.0, 2.37):
+            for factor in zernike._memo_weight_factors(zs.tobytes(), t.tobytes(), e, 2):
+                with pytest.raises(ValueError, match="read-only"):
+                    factor[0, 0] = 0
+
+    def test_large_block_bypasses_memo(self, monkeypatch):
+        # 32 points at 512 nodes is above the memo's entry bound; in blocks
+        # of 2 points it goes through the memo, with the same bytes
+        p = ZernikeParams(3, 2, 0.37)
+        zs = np.array(disk_points(DEFAULT_SEED, 32, 0.8))
+        t = zernike._roots_of_unity(512)
+        assert zs.size * t.size > zernike._MEMO_ENTRIES
+        before = zernike._memo_weight_factors.cache_info()
+        whole = zernike._contour_sum(p, zs, t)
+        after = zernike._memo_weight_factors.cache_info()
+        assert (after.currsize, after.misses, after.hits) == \
+            (before.currsize, before.misses, before.hits)
+        monkeypatch.setattr(zernike, "_PASS_SIZE", 1024)
+        zernike._memo_weight_factors.cache_clear()
+        blocked = zernike._contour_sum(p, zs, t)
+        assert zernike._memo_weight_factors.cache_info().currsize == 16
+        for a, b in zip(whole, blocked):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestRodriguesExpr:
     def test_matches_explicit_expression(self):
