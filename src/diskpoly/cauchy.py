@@ -15,12 +15,13 @@ import numpy as np
 
 from .errors import DomainError, NZeroError
 from .numerics import _check_count, _check_weight, gauss_legendre, hyp2f1, incomplete_beta
-from .zernike import ZernikeParams, _check_disk, _explicit_terms, eval_jacobi
+from .zernike import ZernikeParams, _check_disk, _explicit_terms, jacobi_line
 
 __all__ = [
     "cauchy_monomial_closed",
     "cauchy_monomial_2f1",
     "cauchy_zernike_closed",
+    "cauchy_closed_line",
     "cauchy_zernike_quad",
     "cauchy_direct_2d",
 ]
@@ -80,10 +81,30 @@ def cauchy_monomial_2f1(p: int, q: int, k: int, gamma: float, z: complex) -> com
     return -z ** q * z.conjugate() ** (p + 1) / (p + 1) * u ** (gamma + 1 + k) * f
 
 
+def cauchy_closed_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int):
+    """Yield the closed-form transform of every member (m, n) with n >= 1
+    on the charge line n - m = k, for s = min(m, n-1) = 0, 1, ..., s_max.
+
+    The transform of (m, n) at gamma is u^(gamma+1) times the member at
+    (m, n-1) for weight exponent gamma+1, which lies on the line k - 1 at
+    the same s: so the line is u^(gamma+1) times
+    ``zernike.jacobi_line(k - 1, gamma + 1, z, s_max)``, and between two
+    members it holds that line's state and the weight.  ``z`` may be a
+    scalar or an ndarray of points in the closed disk.
+    """
+    z = _check_disk(z, arrays=True)
+    u = 1.0 - (z.real * z.real + z.imag * z.imag)
+    u = np.maximum(u, 0.0) if isinstance(z, np.ndarray) else max(u, 0.0)
+    weight = u ** (gamma + 1.0)
+    for v in jacobi_line(k - 1, gamma + 1.0, z, s_max):
+        yield weight * v
+
+
 def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
     """Closed form on the polynomial family: u^(gamma+1) times the member
-    at (m, n-1) for weight exponent gamma+1.  Needs n >= 1 (the transform
-    of an anti-holomorphic member leaves the polynomial family).
+    at (m, n-1) for weight exponent gamma+1, the last transform of
+    ``cauchy_closed_line`` up to (m, n).  Needs n >= 1 (the transform of
+    an anti-holomorphic member leaves the polynomial family).
 
     ``z`` may be a scalar, which gives a Python complex, or an ndarray of
     points in the closed disk, which gives a complex array of its shape.
@@ -91,11 +112,9 @@ def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex 
     if p.n == 0:
         raise NZeroError(
             f"no closed polynomial form at n = 0 (indices ({p.m}, {p.n}))")
-    z = _check_disk(z, arrays=True)
-    u = 1.0 - (z.real * z.real + z.imag * z.imag)
-    u = np.maximum(u, 0.0) if isinstance(z, np.ndarray) else max(u, 0.0)
-    shifted = ZernikeParams(p.m, p.n - 1, p.gamma + 1.0)
-    return u ** (p.gamma + 1.0) * eval_jacobi(shifted, z)
+    for v in cauchy_closed_line(p.n - p.m, p.gamma, z, min(p.m, p.n - 1)):
+        pass
+    return v
 
 
 def cauchy_zernike_quad(p: ZernikeParams, z: complex) -> complex:

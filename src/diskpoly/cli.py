@@ -15,13 +15,13 @@ import sys
 
 import numpy as np
 
-from .cauchy import (cauchy_direct_2d, cauchy_monomial_2f1, cauchy_monomial_closed,
-                     cauchy_zernike_closed, cauchy_zernike_quad)
+from .cauchy import (cauchy_closed_line, cauchy_direct_2d, cauchy_monomial_2f1,
+                     cauchy_monomial_closed, cauchy_zernike_closed, cauchy_zernike_quad)
 from .errors import DiskPolyError, NonConvergentError
 from .report import _f17, serialize
 from .suites import DEFAULT_GAMMAS, DEFAULT_SEED, SUITE_NAMES, run_suite
 from .zernike import (MAX_NODES, ROUTES, ZernikeParams, _check_indices, eval_explicit,
-                      eval_route)
+                      eval_route, jacobi_line)
 
 __all__ = ["main"]
 
@@ -136,29 +136,68 @@ def _quad_column(p, values: np.ndarray, points) -> np.ndarray:
     return np.array(column, complex)
 
 
-def _table_blocks(ns, params, points, start, sep, end, joiner):
+def _line_member(lines: dict, key, start, s: int, last: bool):
+    """Member s of the charge line kept under ``key`` in ``lines``.
+
+    ``start()`` begins the line at s = 0 the first time, and the members
+    below s are passed over; after that each call takes the next member,
+    since s rises by one per block along a line.  A line is dropped after
+    its ``last`` member, so only live lines keep their recurrence state.
+    """
+    line = lines.get(key)
+    if line is None:
+        line = lines[key] = start()
+        for _ in range(s):
+            next(line)
+    v = next(line)
+    if last:
+        del lines[key]
+    return v
+
+
+def _table_blocks(ns, params, n_gammas, points, start, sep, end, joiner):
     """Yield the finished text of each table block, one (m, n, gamma)
     block over the whole grid at a time, in a row shape of _ROW_SHAPES.
 
-    Each column of a block is one array call; the n = 0 transform column
-    has no closed form and is computed point by point.  The point cells are
-    formatted once, and a block's text is one "%" call that fills its value
-    cells in with report._f17's "%.17g".  Every cell is an int or such a
-    number, so none holds ",", '"' or "%" and no CSV cell needs quoting.
-    A block yields no text unless all its cells are finite, and the error
-    names the first non-finite cell in row order, value before transform.
+    ``params`` runs over (m, n, gamma) with the n_gammas weights innermost.
+    Each block is the member s = min(m, n) of the charge line n - m = k
+    at its gamma (the position of gamma in the list, so a repeated gamma
+    gets a line of its own): its value column comes from
+    ``zernike.jacobi_line`` and equals ``eval_jacobi``, and its transform
+    column from ``cauchy.cauchy_closed_line`` and equals
+    ``cauchy_zernike_closed``, bit for bit.  Along a line m rises by one
+    per block, so each line holds only its running recurrence state
+    between blocks, and is dropped after its last block.  The n = 0
+    transform column has no closed form and is computed point by point.
+    The point cells are formatted once, and a block's text is one "%" call
+    that fills its value cells in with report._f17's "%.17g".  Every cell
+    is an int or such a number, so none holds ",", '"' or "%" and no CSV
+    cell needs quoting.  A block yields no text unless all its cells are
+    finite, and the error names the first non-finite cell in row order,
+    value before transform.
     """
     if not points:
         return
     zs = np.array(points, complex)
     cells = (sep + "%.17g") * (4 if ns.with_cauchy else 2) + end
     tails = [f"{_f17(z.real)}{sep}{_f17(z.imag)}{cells}" for z in points]
+    last_m = {p.n - p.m: p.m for p in params}  # the largest m on each line
+    lines = {}
     for i, p in enumerate(params):
+        k, g, at = p.n - p.m, p.gamma, i % n_gammas
+        m_last = last_m[k]
+        last = p.m == m_last
         with np.errstate(all="ignore"):
-            cols = [eval_explicit(p, zs)]
-            if ns.with_cauchy:
-                cols.append(cauchy_zernike_closed(p, zs) if p.n >= 1 else
-                            _quad_column(p, cols[0], points))
+            cols = [_line_member(lines, ("value", at, k),
+                                 lambda: jacobi_line(k, g, zs, min(m_last, m_last + k)),
+                                 min(p.m, p.n), last)]
+            if ns.with_cauchy and p.n == 0:
+                cols.append(_quad_column(p, cols[0], points))
+            elif ns.with_cauchy:
+                cols.append(_line_member(
+                    lines, ("transform", at, k),
+                    lambda: cauchy_closed_line(k, g, zs, min(m_last, m_last + k - 1)),
+                    min(p.m, p.n - 1), last))
         if not all(np.isfinite(c).all() for c in cols):
             for row in zip(*cols):
                 for v in row:
@@ -188,7 +227,7 @@ def cmd_table(ns) -> int:
     header = ["m", "n", "gamma", "re_z", "im_z", "re_val", "im_val"]
     if ns.with_cauchy:
         header.extend(["re_cauchy", "im_cauchy"])
-    blocks = _table_blocks(ns, params, points, *_ROW_SHAPES[ns.format])
+    blocks = _table_blocks(ns, params, len(gammas), points, *_ROW_SHAPES[ns.format])
     n_rows = len(params) * len(points)
     path = ns.out if ns.out else f"table.{ns.format}"
     with open(path, "w", newline="") as fh:

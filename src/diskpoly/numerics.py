@@ -134,8 +134,30 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     raise NonConvergentError(f"2F1 series did not converge in {_HYP2F1_MAX_TERMS} terms")
 
 
+def _jacobi_ladder(alpha: float, beta: float, x):
+    """Yield P_0, P_1, ... of P^(alpha, beta) at x, without end, by the
+    three-term recurrence; x may be a float or a float ndarray.
+
+    The recurrence is written here once: ``jacobi_p`` and
+    ``zernike.jacobi_line`` both climb this ladder, so a rung is the same
+    bits whichever of them asked for it.  The caller checks alpha and beta.
+    """
+    yield 1.0
+    s = alpha + beta
+    p0 = 1.0
+    p1 = (alpha + 1) + (s + 2) * (x - 1) / 2
+    yield p1
+    for k in count(2):
+        c1 = 2 * k * (k + s) * (2 * k + s - 2)
+        c2 = (2 * k + s - 1) * ((2 * k + s) * (2 * k + s - 2) * x + alpha * alpha - beta * beta)
+        c4 = 2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + s)
+        p0, p1 = p1, (c2 * p1 - c4 * p0) / c1
+        yield p1
+
+
 def jacobi_p(n: int, alpha: float, beta: float, x: float) -> float:
-    """Jacobi polynomial P_n^(alpha, beta)(x) by the three-term recurrence.
+    """Jacobi polynomial P_n^(alpha, beta)(x): rung n of the three-term
+    recurrence's ladder, ``_jacobi_ladder``.
 
     Valid for finite alpha, beta > -1, where the recurrence denominators
     stay positive for every n.
@@ -144,17 +166,7 @@ def jacobi_p(n: int, alpha: float, beta: float, x: float) -> float:
         raise DomainError(f"jacobi_p needs n >= 0, got {n}")
     if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > -1 and beta > -1):
         raise DomainError(f"jacobi_p needs finite alpha, beta > -1, got ({alpha}, {beta})")
-    if n == 0:
-        return 1.0
-    s = alpha + beta
-    p0 = 1.0
-    p1 = (alpha + 1) + (s + 2) * (x - 1) / 2
-    for k in range(2, n + 1):
-        c1 = 2 * k * (k + s) * (2 * k + s - 2)
-        c2 = (2 * k + s - 1) * ((2 * k + s) * (2 * k + s - 2) * x + alpha * alpha - beta * beta)
-        c4 = 2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + s)
-        p0, p1 = p1, (c2 * p1 - c4 * p0) / c1
-    return p1
+    return next(islice(_jacobi_ladder(alpha, beta, x), n, None))
 
 
 @dataclass(frozen=True)

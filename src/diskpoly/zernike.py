@@ -34,7 +34,7 @@ import numpy as np
 from . import algebra
 from .algebra import DiskExpr
 from .errors import DomainError, NonConvergentError, ParamMismatchError
-from .numerics import _check_count, _check_weight, hyp2f1, jacobi_p, pochhammer
+from .numerics import _check_count, _check_weight, _jacobi_ladder, hyp2f1, jacobi_p, pochhammer
 
 __all__ = [
     "ZernikeParams",
@@ -42,6 +42,7 @@ __all__ = [
     "eval_gauss1",
     "eval_gauss2",
     "eval_jacobi",
+    "jacobi_line",
     "eval_rodrigues",
     "eval_contour",
     "eval_contour_adaptive",
@@ -198,11 +199,44 @@ def eval_jacobi(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarr
     """
     z = _check_disk(z, arrays=True)
     m, n, g = p.m, p.n, p.gamma
-    s, ell = min(m, n), max(m, n)
+    s = min(m, n)
     r2 = z.real * z.real + z.imag * z.imag
-    ang = z ** (n - m) if n >= m else z.conjugate() ** (m - n)
-    pref = float((-1) ** s * factorial(s)) * pochhammer(g + s + 1, ell)
-    return pref * ang * jacobi_p(s, abs(m - n), g, 1.0 - 2.0 * r2)
+    return _jacobi_prefactor(s, n - m, g) * _angular(z, n - m) * jacobi_p(
+        s, abs(m - n), g, 1.0 - 2.0 * r2)
+
+
+def _jacobi_prefactor(s: int, k: int, g: float) -> float:
+    """(-1)^s s! (g+s+1)_l with l = s + |k|, the member's prefactor."""
+    return float((-1) ** s * factorial(s)) * pochhammer(g + s + 1, s + abs(k))
+
+
+def _angular(z: complex | np.ndarray, k: int) -> complex | np.ndarray:
+    """The angular factor z^k, or conj(z)^-k when k < 0."""
+    return z ** k if k >= 0 else z.conjugate() ** -k
+
+
+def jacobi_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int):
+    """Yield every member on the charge line n - m = k at z, for
+    s = min(m, n) = 0, 1, ..., s_max, so the member (m, n) comes at
+    s = m + min(k, 0).
+
+    One ladder of the Jacobi recurrence at x = 1 - 2|z|^2 and one angular
+    factor serve the whole line, and each member takes the prefactor,
+    angular factor and ladder rung in the order ``eval_jacobi`` does, so
+    it equals ``eval_jacobi`` at its indices bit for bit.  Between two
+    members the generator holds x, the recurrence's last two rungs and
+    the angular factor.  ``z`` may be a scalar or an ndarray, as for
+    ``eval_explicit``; the line's indices are checked against INDEX_CAP
+    before the first member.
+    """
+    _check_indices(max(-k, 0) + s_max, max(k, 0) + s_max)
+    _check_weight(gamma)
+    gamma = float(gamma)
+    z = _check_disk(z, arrays=True)
+    ang = _angular(z, k)
+    ladder = _jacobi_ladder(abs(k), gamma, 1.0 - 2.0 * (z.real * z.real + z.imag * z.imag))
+    for s in range(s_max + 1):
+        yield _jacobi_prefactor(s, k, gamma) * ang * next(ladder)
 
 
 @lru_cache(maxsize=1024)

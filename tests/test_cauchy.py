@@ -14,12 +14,14 @@ from diskpoly import (
     DomainError,
     NZeroError,
     ZernikeParams,
+    cauchy_closed_line,
     cauchy_direct_2d,
     cauchy_monomial_2f1,
     cauchy_monomial_closed,
     cauchy_zernike_closed,
     cauchy_zernike_quad,
     eval_explicit,
+    eval_jacobi,
 )
 from diskpoly.sampling import disk_points
 from diskpoly.suites import DEFAULT_GAMMAS, normalized_deviation
@@ -339,6 +341,41 @@ class TestClosedArrays:
             for shape in ((4,), (2, 2)):
                 with pytest.raises(DomainError, match="disk"):
                     cauchy_zernike_closed(p, np.array(pts).reshape(shape))
+
+    @staticmethod
+    def _same_bits(a, b) -> bool:
+        a, b = np.atleast_1d(a).astype(complex), np.atleast_1d(b).astype(complex)
+        return a.shape == b.shape and np.array_equal(a.view(float), b.view(float),
+                                                     equal_nan=True)
+
+    @pytest.mark.parametrize("g", [-0.5, 0.37, 2.5, 300.0])
+    def test_is_weighted_shifted_member(self, g):
+        # the closed form's arithmetic: the clamped u^(gamma+1) times
+        # eval_jacobi at (m, n-1, gamma+1), bit for bit, on arrays and scalars
+        zs = np.array(self.PTS)
+        u = np.maximum(1.0 - (zs.real * zs.real + zs.imag * zs.imag), 0.0)
+        with np.errstate(all="ignore"):
+            for m, n in [(m, n) for m in range(9) for n in range(1, 9)] + [(64, 64), (0, 64)]:
+                p = ZernikeParams(m, n, g)
+                shifted = ZernikeParams(m, n - 1, g + 1.0)
+                want = u ** (g + 1.0) * eval_jacobi(shifted, zs)
+                assert self._same_bits(cauchy_zernike_closed(p, zs), want), (m, n)
+                z = self.PTS[0]
+                want = max(1.0 - (z.real * z.real + z.imag * z.imag), 0.0) ** (g + 1.0) \
+                    * eval_jacobi(shifted, z)
+                assert self._same_bits(cauchy_zernike_closed(p, z), want), (m, n)
+
+    def test_closed_line_members(self):
+        # the member (m, n) of the line n - m = k comes at s = min(m, n - 1)
+        zs = np.array(self.PTS)
+        for g in (-0.5, 2.5):
+            for k in (-5, 0, 1, 6):
+                line = list(cauchy_closed_line(k, g, zs, 7))
+                assert len(line) == 8
+                for s, v in enumerate(line):
+                    m = s - min(k - 1, 0)
+                    p = ZernikeParams(m, m + k, g)
+                    assert self._same_bits(v, cauchy_zernike_closed(p, zs)), (p, s)
 
     def test_n_zero_array_rejected(self):
         with pytest.raises(NZeroError):

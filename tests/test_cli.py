@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,11 @@ from diskpoly import (
     NonConvergentError,
     ZernikeParams,
     cli,
+    cauchy_zernike_closed,
+    cauchy_zernike_quad,
     eval_explicit,
+    eval_jacobi,
+    jacobi_line,
     pochhammer,
     zernike,
 )
@@ -486,12 +491,12 @@ class TestUnwritableOut:
 # case id -> (table flags, sha256 of the CSV and of the JSON output)
 GOLDEN_TABLES = {
     "n0-column": ("--m 0:3 --n 0:3 --gammas=-0.5,0,2.5 --r-steps 3 --theta-steps 8 --with-cauchy", {
-        "csv": "15daec8a4cbf17b8023b88c81336d5271721ed9dc6077f89c5b1142abdd9f6c0",
-        "json": "77483bede3e377d8e48e7cd547d926cfdd755ed7715738dcc8f8414b5cabe0bd"}),
+        "csv": "3d2b2980eec87390f7edd2ad6ea9102f18377719446cb840e0fa31c317d276cd",
+        "json": "577672b1152bad2207cb2c7cda8456e6c41f6816cdfa9df98b6c44ef2dc0cb3e"}),
     "boundary": ("--m 0:2 --n 1:2 --gammas=0.5,1e-300 --r-steps 2 --theta-steps 3"
                  " --include-boundary --with-cauchy", {
-        "csv": "afc8dc0b56c571df88da41e50db34ca8bb46537c0b09f8af3d358e1f1e7d630c",
-        "json": "c9f180c715233f3d78308fbf493828f6d9e29891e5ae26dcd795e160d00a0a16"}),
+        "csv": "ef5b6ccd46f810f667b44c3240cccb581f9299128690e88805be8403fc6e0302",
+        "json": "2f28a7a4f8f87477c88604582236970479c0c19b0cb91a3122ed170ea47e51ac"}),
     "no-points": ("--m 0:3 --n 0:3 --r-steps 0 --theta-steps 5", {
         "csv": "fe54a1d3ac2e0e67e95e6348d193ab8ccb3d6cfbe3ebe4c16797be8e00110384",
         "json": "54f117b0aa1b3044f0eb46b24a96d786ef08fb041dac9d5467fa6170172de18d"}),
@@ -513,7 +518,7 @@ class TestTable:
         assert len(rows) == 2
         cells = rows[1]
         assert main(["eval", "--m", "2", "--n", "1", "--gamma", "0.5",
-                     "--z", "0.7,0", "--method", "explicit"]) == 0
+                     "--z", "0.7,0", "--method", "jacobi"]) == 0
         line = capsys.readouterr().out.strip()
         _, re_s, im_s = line.split(", ")
         assert float(cells[5]) == float(re_s)
@@ -566,14 +571,15 @@ class TestTable:
         out = tmp_path / "t.csv"
         calls = []
 
-        def flaky(p, z):
+        def flaky(k, g, z, s_max):
             calls.append(z)
             if len(calls) == 3:
                 raise NonConvergentError("injected")
-            return eval_explicit(p, z)
+            return jacobi_line(k, g, z, s_max)
 
-        monkeypatch.setattr(cli, "eval_explicit", flaky)
-        # one call per (m, n, gamma) block, so three blocks
+        monkeypatch.setattr(cli, "jacobi_line", flaky)
+        # one call per charge line, and each of the three blocks is on a
+        # line of its own (one per gamma)
         assert main(["table", "--m", "1", "--n", "1", "--gammas", "0,0.5,1",
                      "--out", str(out)]) == 3
         assert len(calls) == 3
@@ -612,8 +618,8 @@ class TestTable:
         cols = [np.arange(4, dtype=complex), np.arange(4, dtype=complex)]
         for (row, col), v in bad.items():
             cols[col][row] = v
-        monkeypatch.setattr(cli, "eval_explicit", lambda p, z: cols[0])
-        monkeypatch.setattr(cli, "cauchy_zernike_closed", lambda p, z: cols[1])
+        monkeypatch.setattr(cli, "jacobi_line", lambda k, g, z, s_max: repeat(cols[0]))
+        monkeypatch.setattr(cli, "cauchy_closed_line", lambda k, g, z, s_max: repeat(cols[1]))
         out = tmp_path / "t.csv"
         assert main(["table", "--m", "1", "--n", "1", "--r-steps", "1",
                      "--theta-steps", "4", "--with-cauchy", "--out", str(out)]) == 3
@@ -668,6 +674,77 @@ class TestTable:
                   "--with-cauchy"])
         assert ei.value.code == 2
 
+    def test_value_cells_match_explicit(self, capsys, tmp_path):
+        # an independent referee for the value column, which now shares
+        # its arithmetic with eval_jacobi: the explicit sum at m, n <= 8
+        out = tmp_path / "t.csv"
+        assert main(["table", "--m", "0:8", "--n", "0:8", "--gammas=-0.9,0,0.37,2.5",
+                     "--r-steps", "3", "--theta-steps", "8", "--include-boundary",
+                     "--out", str(out)]) == 0
+        blocks = {}
+        for row in list(csv.reader(out.open()))[1:]:
+            blocks.setdefault(tuple(row[:3]), []).append(row)
+        assert len(blocks) == 81 * 4
+        for (m, n, g), rows in blocks.items():
+            zs = np.array([complex(float(r[3]), float(r[4])) for r in rows])
+            got = [complex(float(r[5]), float(r[6])) for r in rows]
+            want = eval_explicit(ZernikeParams(int(m), int(n), float(g)), zs).tolist()
+            s = max(map(abs, want))
+            err = max(map(normalized_deviation, got, want, [s] * len(want)))
+            assert err <= 1e-12, (m, n, g, err)
+
+    @pytest.mark.parametrize("m, n", [("3:5", "2:7"), ("2:4", "0:3"), ("0:2", "0")])
+    def test_sub_ranges_match_per_block_routes(self, capsys, tmp_path, m, n):
+        # ranges that do not start at 0, n = 0 blocks among the others and a
+        # repeated gamma: every value and transform cell is the one that
+        # eval_jacobi, cauchy_zernike_closed or (at n = 0) the quad route
+        # gives for that block alone, byte for byte
+        out = tmp_path / "t.csv"
+        assert main(["table", "--m", m, "--n", n, "--gammas=0.5,-0.3,0.5",
+                     "--r-steps", "2", "--theta-steps", "5", "--with-cauchy",
+                     "--out", str(out)]) == 0
+        rows = list(csv.reader(out.open()))[1:]
+        blocks = {}
+        for row in rows:
+            blocks.setdefault(tuple(row[:3]), []).append(row)
+        lo, hi = (int(v) for v in m.split(":"))
+        n_lo, n_hi = (int(v) for v in (n.split(":") if ":" in n else (n, n)))
+        assert len(rows) == (hi - lo + 1) * (n_hi - n_lo + 1) * 3 * 10
+        for (mm, nn, g), block in blocks.items():
+            p = ZernikeParams(int(mm), int(nn), float(g))
+            pts = [complex(float(r[3]), float(r[4])) for r in block]
+            values = eval_jacobi(p, np.array(pts)).tolist()
+            if p.n:
+                transforms = cauchy_zernike_closed(p, np.array(pts)).tolist()
+            else:
+                transforms = [cauchy_zernike_quad(p, z) for z in pts]
+            for r, v, t in zip(block, values, transforms, strict=True):
+                assert r[5:] == ["%.17g" % x for x in (v.real, v.imag, t.real, t.imag)]
+
+    def test_cap_table_values_match_mpmath(self, capsys, tmp_path):
+        # the reduced cap table; through the explicit sum, 1 695 of its
+        # 4 160 value blocks were off by more than 1e-9 (normalized)
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "t.csv"
+        assert main(["table", "--m", "0:64", "--n", "1:64", "--gammas", "0.5",
+                     "--r-steps", "2", "--theta-steps", "8", "--with-cauchy",
+                     "--out", str(out)]) == 0
+        rows = list(csv.reader(out.open()))[1:]
+        assert len(rows) == 65 * 64 * 16
+        rng = np.random.default_rng(2105)
+        picks = [(64, 64), (63, 63), (64, 1), (0, 64)] + [
+            (int(a), int(b)) for a, b in zip(rng.integers(0, 65, 36), rng.integers(1, 65, 36))]
+        for m, n in picks:
+            i = (m * 64 + n - 1) * 16
+            block = rows[i:i + 16]
+            assert {tuple(r[:3]) for r in block} == {(str(m), str(n), "0.5")}
+            got = [complex(float(r[5]), float(r[6])) for r in block]
+            want = [_explicit_ref(m, n, 0.5, complex(float(r[3]), float(r[4])))
+                    for r in block]
+            s = max(map(abs, want))
+            err = max(map(normalized_deviation, got, want, [s] * len(want)))
+            assert err <= 1e-12, (m, n, err)
+
     def test_json_table(self, capsys, tmp_path):
         out = tmp_path / "t.json"
         assert main(["table", "--m", "1", "--n", "1", "--gammas", "0",
@@ -679,6 +756,20 @@ class TestTable:
         z = complex(doc["rows"][0][3], doc["rows"][0][4])
         ref = eval_explicit(ZernikeParams(1, 1, 0.0), z)
         assert complex(doc["rows"][0][5], doc["rows"][0][6]) == pytest.approx(ref)
+
+
+def _explicit_ref(m: int, n: int, gamma: float, z: complex) -> complex:
+    """Z_{m,n}^gamma(z) from the explicit sum at 80 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        g = mpmath.mpf(gamma)
+        w = mpmath.mpc(z)
+        u = 1 - mpmath.mpf(z.real) ** 2 - mpmath.mpf(z.imag) ** 2
+        return complex(mpmath.fsum(
+            (-1) ** j * math.comb(m, j) * math.comb(n, j) * math.factorial(j)
+            * mpmath.rf(g + j + 1, m + n - j) * u**j
+            * mpmath.conj(w) ** (m - j) * w ** (n - j)
+            for j in range(min(m, n) + 1)))
 
 
 def _closed_transform_ref(m: int, n: int, gamma: float, z: complex) -> complex:

@@ -155,6 +155,19 @@ class TestJacobiP:
             rhs = (-1) ** n * jacobi_p(n, b, a, x)
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
 
+    def test_is_ladder_rung(self):
+        # jacobi_p(n, ...) is rung n of the one recurrence, bit for bit,
+        # at float and at array x
+        def bits(v):
+            return np.atleast_1d(np.asarray(v, float)).tobytes()
+
+        xs = np.array([-1.0, -0.73, 0.0, 0.31, 0.999, 1.0])
+        for alpha, beta in ((0, 0.5), (3, -0.99), (64, 300.0), (0.5, 30.0), (-0.5, -0.5)):
+            for x in (*xs.tolist(), xs):
+                rungs = islice(numerics._jacobi_ladder(alpha, beta, x), 65)
+                for n, rung in enumerate(rungs):
+                    assert bits(jacobi_p(n, alpha, beta, x)) == bits(rung), (n, alpha, beta)
+
     @pytest.mark.parametrize("alpha, beta", [
         (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.5, math.inf)])
     def test_non_finite_raises_domain_error(self, alpha, beta):

@@ -16,6 +16,7 @@ from diskpoly.numerics import pochhammer
 from diskpoly.sampling import disk_points
 from diskpoly.suites import DEFAULT_GAMMAS, DEFAULT_SEED, normalized_deviation
 from diskpoly.zernike import (
+    INDEX_CAP,
     MAX_NODES,
     ROUTES,
     ZernikeParams,
@@ -29,6 +30,7 @@ from diskpoly.zernike import (
     eval_rodrigues,
     eval_route,
     explicit_expr,
+    jacobi_line,
     hermite,
     hermite_limit_error,
     inner_product,
@@ -302,6 +304,56 @@ class TestJacobiArrays:
             for shape in ((4,), (2, 2)):
                 with pytest.raises(DomainError, match="disk"):
                     eval_jacobi(p, np.array(pts).reshape(shape))
+
+
+class TestJacobiLine:
+    """jacobi_line: every member of a charge line from one recurrence, equal
+    to eval_jacobi at its indices bit for bit."""
+
+    # the origin, interior points and the rim
+    PTS = np.array([0j] + disk_points(2105, 3, 0.95) + [1.0, complex(-0.6, 0.8)])
+
+    @staticmethod
+    def _same_bits(a, b) -> bool:
+        a, b = np.atleast_1d(a).astype(complex), np.atleast_1d(b).astype(complex)
+        return a.shape == b.shape and np.array_equal(a.view(float), b.view(float),
+                                                     equal_nan=True)
+
+    @pytest.mark.parametrize("g", [-0.99, -0.5, 0.0, 0.5, 2.5, 30.0, 300.0])
+    def test_every_member_matches_eval_jacobi(self, g):
+        # up to the cap, where gamma = 300 overflows to inf and nan: those
+        # bits must agree too
+        with np.errstate(all="ignore"):
+            for k in range(-INDEX_CAP, INDEX_CAP + 1):
+                s_max = INDEX_CAP - abs(k)
+                members = list(jacobi_line(k, g, self.PTS, s_max))
+                assert len(members) == s_max + 1
+                for s, v in enumerate(members):
+                    p = ZernikeParams(s + max(-k, 0), s + max(k, 0), g)
+                    assert self._same_bits(v, eval_jacobi(p, self.PTS)), (p, s)
+
+    def test_scalar_members_match_eval_jacobi(self):
+        for g in (-0.5, 0.5, 30.0):
+            for k in (-64, -3, 0, 5, 64):
+                s_max = INDEX_CAP - abs(k)
+                for z in (0j, complex(self.PTS[1]), 1.0, np.complex128(0.3 - 0.2j)):
+                    for s, v in enumerate(jacobi_line(k, g, z, s_max)):
+                        p = ZernikeParams(s + max(-k, 0), s + max(k, 0), g)
+                        assert type(v) is complex
+                        assert self._same_bits(v, eval_jacobi(p, z)), (p, z)
+
+    def test_shapes_kept(self):
+        pts = self.PTS[:6].reshape(2, 3)
+        for v in jacobi_line(-2, 0.5, pts, 3):
+            assert v.shape == (2, 3) and v.dtype == complex
+
+    @pytest.mark.parametrize("k, g, z, s_max", [
+        (65, 0.5, 0.3, 0), (-65, 0.5, 0.3, 0), (3, 0.5, 0.3, 62), (0, 0.5, 0.3, 65),
+        (0, -1.0, 0.3, 2), (0, math.nan, 0.3, 2), (1, 0.5, 1.1, 2),
+        (1, 0.5, np.array([0.3, complex(0.0, math.nan)]), 2)])
+    def test_bad_line_raises_before_first_member(self, k, g, z, s_max):
+        with pytest.raises(DomainError):
+            next(jacobi_line(k, g, z, s_max))
 
 
 class TestContourNodeCount:
