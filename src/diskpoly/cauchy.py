@@ -27,10 +27,13 @@ __all__ = [
 ]
 
 
-def _check_monomial(p: int, q: int, k: int, gamma: float):
-    if not all(isinstance(v, int) and v >= 0 for v in (p, q, k)):
-        raise DomainError(f"monomial exponents must be nonnegative integers, got ({p}, {q}, {k})")
-    _check_weight(gamma)
+def _check_monomial(p: int, q: int, k: int, gamma: float) -> tuple[int, int, int, float]:
+    """Return the exponents p, q, k as ints and gamma as a float; raise
+    DomainError unless each exponent is an integer >= 0 and gamma is a
+    valid weight exponent."""
+    p, q, k = (_check_count(v, 0, f"monomial exponent {name}")
+               for v, name in zip((p, q, k), "pqk"))
+    return p, q, k, _check_weight(gamma)
 
 
 def cauchy_monomial_closed(p: int, q: int, k: int, gamma: float, z: complex) -> complex:
@@ -43,7 +46,7 @@ def cauchy_monomial_closed(p: int, q: int, k: int, gamma: float, z: complex) -> 
     otherwise; for chi <= 0 it is also zero wherever z^(1 - chi)
     underflows to 0.
     """
-    _check_monomial(p, q, k, gamma)
+    p, q, k, gamma = _check_monomial(p, q, k, gamma)
     z = _check_disk(z, strict=True)
     r2 = z.real * z.real + z.imag * z.imag
     chi = q - p
@@ -67,7 +70,7 @@ def cauchy_monomial_2f1(p: int, q: int, k: int, gamma: float, z: complex) -> com
     from its convergence boundary; a point whose |z|^2 underflows to 0
     counts as the origin.
     """
-    _check_monomial(p, q, k, gamma)
+    p, q, k, gamma = _check_monomial(p, q, k, gamma)
     if p < q:
         raise DomainError(f"this route needs p >= q, got ({p}, {q})")
     z = complex(z)
@@ -92,6 +95,7 @@ def cauchy_closed_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int
     members it holds that line's state and the weight.  ``z`` may be a
     scalar or an ndarray of points in the closed disk.
     """
+    gamma = _check_weight(gamma)
     z = _check_disk(z, arrays=True)
     u = 1.0 - (z.real * z.real + z.imag * z.imag)
     u = np.maximum(u, 0.0) if isinstance(z, np.ndarray) else max(u, 0.0)
@@ -137,7 +141,7 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     inside the disk; it must broadcast, returning an array of that shape
     or a scalar (a constant such as ``lambda w: 1.0`` works).
     """
-    _check_weight(gamma)
+    gamma = _check_weight(gamma)
     z = _check_disk(z, strict=True)
     n_theta = _check_count(n_theta, 8, "angular node count")
     rule = gauss_legendre(_check_count(n_r, 4, "radial node count"))

@@ -9,9 +9,9 @@ silently share code with the oracles used to test them.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 
@@ -42,23 +42,24 @@ _HYP2F1_MAX_TERMS = 10**6
 
 
 def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1.
-
-    Exact for a Fraction ``a``; a float for every other input.
-    """
-    if k < 0:
-        raise DomainError(f"pochhammer needs k >= 0, got {k}")
-    # type(), not isinstance(): the ABC check is slower on this hot path
-    r = Fraction(1) if type(a) is Fraction else 1.0
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1, as a
+    float; k is an integer >= 0 (anything ``operator.index`` takes)."""
+    k = _check_count(k, 0, "pochhammer order k")
+    r = 1.0
     for i in range(k):
         r *= a + i
     return r
 
 
-def _check_weight(g: float):
-    """Raise DomainError unless the weight exponent is finite and > -1."""
+def _check_weight(g: float) -> float:
+    """Return the weight exponent g as a float; raise DomainError unless it
+    is a real number (numpy's included), finite and > -1."""
+    # int and float first: the ABC check is slower
+    if not isinstance(g, (int, float, numbers.Real)):
+        raise DomainError(f"weight exponent must be a real number, got {g!r}")
     if not (math.isfinite(g) and g > -1):
         raise DomainError(f"weight exponent must be finite and > -1, got {g!r}")
+    return float(g)
 
 
 def _check_count(n, least: int, what: str) -> int:
@@ -162,8 +163,7 @@ def jacobi_p(n: int, alpha: float, beta: float, x: float) -> float:
     Valid for finite alpha, beta > -1, where the recurrence denominators
     stay positive for every n.
     """
-    if n < 0:
-        raise DomainError(f"jacobi_p needs n >= 0, got {n}")
+    n = _check_count(n, 0, "jacobi_p degree n")
     if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > -1 and beta > -1):
         raise DomainError(f"jacobi_p needs finite alpha, beta > -1, got ({alpha}, {beta})")
     return next(islice(_jacobi_ladder(alpha, beta, x), n, None))
@@ -234,8 +234,7 @@ def gauss_jacobi_radial(n: int, gamma: float) -> QuadratureRule:
     package calls it; ``inner_product`` sums exact beta moments instead.
     """
     n = _check_count(n, 1, "gauss_jacobi_radial node count")
-    _check_weight(gamma)
-    g = float(gamma)
+    g = _check_weight(gamma)
     diag = np.empty(n)
     diag[0] = -g / (g + 2)
     k = np.arange(1, n, dtype=float)

@@ -31,6 +31,7 @@ which every DiskExpr is.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,7 +63,7 @@ class SpectralParams:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.nu, (int, float)) and math.isfinite(self.nu)):
+        if not (isinstance(self.nu, (int, float, numbers.Real)) and math.isfinite(self.nu)):
             raise DomainError(f"twist strength must be finite, got {self.nu!r}")
         if self.nu <= 0.5:
             raise DomainError(f"discrete levels need nu > 1/2, got {self.nu}")

@@ -14,18 +14,19 @@ in z and conj(z) of bidegree (n, m).  The routes implemented:
 They share no intermediate code beyond the Pochhammer symbol, so mutual
 agreement is strong evidence that each is implemented correctly.
 
-The explicit route, ``explicit_expr``, ``monomial_coeffs``,
-``inner_product``, ``hermite`` and the quad Cauchy route
-(``cauchy.cauchy_zernike_quad``) read the coefficients of the explicit
-sum from one kernel, cached per (m, n, gamma); none of the other five
-routes uses it.
+The explicit route, ``explicit_expr``, ``monomial_coeffs`` and the quad
+Cauchy route (``cauchy.cauchy_zernike_quad``) read the float coefficients
+of the explicit sum from one kernel, ``_explicit_terms``, cached per
+(m, n, gamma).  The exact ``inner_product`` reads the same coefficients
+as scaled integers from ``_scaled_terms``, and ``hermite`` reads only
+their integer parts, ``_signed_counts``.  None of the other five routes
+uses any of them.
 """
 
 import cmath
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -73,11 +74,7 @@ class ZernikeParams:
         m, n = _check_indices(self.m, self.n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-        g = self.gamma
-        if not isinstance(g, (int, float)):
-            raise DomainError(f"weight exponent must be a real number, got {g!r}")
-        _check_weight(g)
-        object.__setattr__(self, "gamma", float(g))
+        object.__setattr__(self, "gamma", _check_weight(self.gamma))
 
 
 def _check_indices(m: int, n: int) -> tuple[int, int]:
@@ -119,15 +116,12 @@ def _signed_counts(m: int, n: int):
         yield j, (-1) ** j * comb(m, j) * comb(n, j) * factorial(j)
 
 
-# typed: 0.5 and Fraction(1, 2) are equal keys, and a caller asking for
-# exact Fraction terms must never be served the float entry
-@lru_cache(maxsize=256, typed=True)
-def _explicit_terms(m: int, n: int, g) -> tuple:
+@lru_cache(maxsize=256)
+def _explicit_terms(m: int, n: int, g: float) -> tuple:
     """Terms (z-power, zbar-power, u-power, coefficient) of the explicit sum.
 
-    Term j has coefficient (-1)^j C(m,j) C(n,j) j! (g+j+1)_{m+n-j} on
-    z^(n-j) conj(z)^(m-j) u^j; exact when ``g`` is a Fraction, float
-    otherwise.
+    Term j has the float coefficient (-1)^j C(m,j) C(n,j) j! (g+j+1)_{m+n-j}
+    on z^(n-j) conj(z)^(m-j) u^j.
     """
     return tuple((n - j, m - j, j, c * pochhammer(g + j + 1, m + n - j))
                  for j, c in _signed_counts(m, n))
@@ -230,8 +224,7 @@ def jacobi_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int):
     before the first member.
     """
     _check_indices(max(-k, 0) + s_max, max(k, 0) + s_max)
-    _check_weight(gamma)
-    gamma = float(gamma)
+    gamma = _check_weight(gamma)
     z = _check_disk(z, arrays=True)
     ang = _angular(z, k)
     ladder = _jacobi_ladder(abs(k), gamma, 1.0 - 2.0 * (z.real * z.real + z.imag * z.imag))
@@ -251,8 +244,7 @@ def rodrigues_expr(p: ZernikeParams) -> DiskExpr:
     (a+q) c z^(a-1) u^q - q c z^(a-1) u^(q-1), since z conj(z) = 1 - u,
     and c conj(z)^b u^q to -q c conj(z)^(b+1) u^(q-1).  So each
     coefficient is one int over Q^(m+n): the explicit sum's coefficient,
-    correctly rounded by one int division with no gcd (an exact Fraction
-    when gamma is one).
+    correctly rounded by one int division with no gcd.
 
     The result is a polynomial: int base offset zero, nonnegative
     u-powers.  The cost grows with the bit lengths of P and Q: at
@@ -287,8 +279,6 @@ def rodrigues_expr(p: ZernikeParams) -> DiskExpr:
     # leaves the int offset 0
     den = (-1) ** (m + n) * Q ** (m + n)
     key = (a, 0) if a > 0 else (0, -a)
-    if isinstance(g, Fraction):
-        return DiskExpr({(*key, k): Fraction(ck, den) for k, ck in enumerate(c)})
     try:
         terms = {(*key, k): ck / den for k, ck in enumerate(c)}
     except OverflowError:

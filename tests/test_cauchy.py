@@ -95,9 +95,42 @@ def test_monomial_2f1_guards():
         cauchy_monomial_2f1(1, 0, 0, 0.5, 0.97)
 
 
+@pytest.mark.parametrize("p, q, k", [(np.int64(2), 1, 0), (2, np.int32(1), np.uint8(1)),
+                                     (2, True, np.int64(0))])
+def test_monomial_exponents_accept_numpy_integers(p, q, k):
+    want = (int(p), int(q), int(k))
+    assert cauchy_monomial_closed(p, q, k, 0.5, Z0) == cauchy_monomial_closed(*want, 0.5, Z0)
+    assert cauchy_monomial_2f1(p, q, k, 0.5, Z0) == cauchy_monomial_2f1(*want, 0.5, Z0)
+
+
+@pytest.mark.parametrize("g", [np.float32(0.5), np.float16(0.5)])
+def test_weight_accepts_numpy_floats(g):
+    # a float32 weight must not turn the arithmetic into float32
+    assert cauchy_monomial_closed(2, 1, 1, g, Z0) == cauchy_monomial_closed(2, 1, 1, 0.5, Z0)
+    assert cauchy_monomial_2f1(2, 1, 1, g, Z0) == cauchy_monomial_2f1(2, 1, 1, 0.5, Z0)
+    zs = np.array([Z0, 0.5, 0.9j])
+    got = list(cauchy_closed_line(1, g, zs, 3))
+    want = list(cauchy_closed_line(1, 0.5, zs, 3))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    f = lambda w: w  # noqa: E731
+    assert cauchy_direct_2d(f, g, Z0, 16, 32) == cauchy_direct_2d(f, 0.5, Z0, 16, 32)
+    for bad in ("0.5", None, 0.5j):
+        with pytest.raises(DomainError, match="real number"):
+            cauchy_monomial_closed(2, 1, 1, bad, Z0)
+        with pytest.raises(DomainError, match="real number"):
+            next(cauchy_closed_line(1, bad, zs, 3))
+        with pytest.raises(DomainError, match="real number"):
+            cauchy_direct_2d(f, bad, Z0, 16, 32)
+
+
 def test_monomial_guards():
     with pytest.raises(DomainError):
         cauchy_monomial_closed(-1, 0, 0, 0.5, Z0)
+    for bad in (2.5, 1.0, "1", None):
+        with pytest.raises(DomainError):
+            cauchy_monomial_closed(bad, 0, 0, 0.5, Z0)
+        with pytest.raises(DomainError):
+            cauchy_monomial_2f1(2, 1, bad, 0.5, Z0)
     with pytest.raises(DomainError):
         cauchy_monomial_closed(0, 0, 0, -1.0, Z0)
     with pytest.raises(DomainError):

@@ -258,6 +258,12 @@ def _run_cli(argv, **kwargs):
                           text=True, env=env, timeout=120, **kwargs)
 
 
+def _csv_rows(path):
+    """Every row of the CSV file at path, header included; the file is closed."""
+    with path.open() as f:
+        return list(csv.reader(f))
+
+
 def _one_error_3(rc, err):
     lines = err.splitlines()
     return rc == 3 and len(lines) == 1 and lines[0].startswith("ERROR 3: ")
@@ -446,7 +452,7 @@ class TestVerify:
         out = tmp_path / "rep.csv"
         assert main(["verify", "--suite", "hermite", "--format", "csv",
                      "--out", str(out)]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = _csv_rows(out)
         assert rows[0][0] == "identity"
         assert rows[-1][0] == "summary"
 
@@ -513,7 +519,7 @@ class TestTable:
                      "--r-steps", "1", "--theta-steps", "1",
                      "--r-max", "0.7", "--out", str(out)]) == 0
         capsys.readouterr()
-        rows = list(csv.reader(out.open()))
+        rows = _csv_rows(out)
         assert rows[0] == ["m", "n", "gamma", "re_z", "im_z", "re_val", "im_val"]
         assert len(rows) == 2
         cells = rows[1]
@@ -529,7 +535,7 @@ class TestTable:
         assert main(["table", "--m", "2", "--n", "1", "--gammas", "0.5",
                      "--r-steps", "0", "--theta-steps", "8",
                      "--include-boundary", "--out", str(out)]) == 0
-        rows = list(csv.reader(out.open()))[1:]
+        rows = _csv_rows(out)[1:]
         assert len(rows) == 8
         ref = pochhammer(1.5, 3)
         for cells in rows:
@@ -539,7 +545,7 @@ class TestTable:
     def test_empty_range_header_only(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["table", "--m", "2:1", "--n", "0", "--out", str(out)]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = _csv_rows(out)
         assert rows == [["m", "n", "gamma", "re_z", "im_z", "re_val", "im_val"]]
 
     def test_empty_range_json(self, capsys, tmp_path):
@@ -634,7 +640,7 @@ class TestTable:
         assert main(["table", "--m", "1", "--n", "1", "--r-steps", "1",
                      "--theta-steps", "2", "--out", str(link)]) == 0
         assert link.is_symlink()
-        assert len(list(csv.reader(target.open()))) == 3
+        assert len(_csv_rows(target)) == 3
 
     def test_cauchy_column_at_large_index_and_gamma(self, capsys, tmp_path):
         # the default grid holds z = 0.224+0.224i, where the transform
@@ -642,7 +648,7 @@ class TestTable:
         out = tmp_path / "t.csv"
         assert main(["table", "--m", "56", "--n", "63", "--gammas", "300",
                      "--with-cauchy", "--out", str(out)]) == 0
-        rows = list(csv.reader(out.open()))[1:]
+        rows = _csv_rows(out)[1:]
         got, want = [], []
         for row in rows:
             z = complex(float(row[3]), float(row[4]))
@@ -657,7 +663,7 @@ class TestTable:
         assert main(["table", "--m", "1", "--n", "0:1", "--gammas", "0",
                      "--r-steps", "1", "--theta-steps", "2", "--r-max", "0.5",
                      "--with-cauchy", "--out", str(out)]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = _csv_rows(out)
         assert rows[0][-2:] == ["re_cauchy", "im_cauchy"]
         # (1,1) at z=0.5: transform value 0.75 from the closed form
         vals = {(c[0], c[1], c[3]): complex(float(c[7]), float(c[8])) for c in rows[1:]}
@@ -682,7 +688,7 @@ class TestTable:
                      "--r-steps", "3", "--theta-steps", "8", "--include-boundary",
                      "--out", str(out)]) == 0
         blocks = {}
-        for row in list(csv.reader(out.open()))[1:]:
+        for row in _csv_rows(out)[1:]:
             blocks.setdefault(tuple(row[:3]), []).append(row)
         assert len(blocks) == 81 * 4
         for (m, n, g), rows in blocks.items():
@@ -703,7 +709,7 @@ class TestTable:
         assert main(["table", "--m", m, "--n", n, "--gammas=0.5,-0.3,0.5",
                      "--r-steps", "2", "--theta-steps", "5", "--with-cauchy",
                      "--out", str(out)]) == 0
-        rows = list(csv.reader(out.open()))[1:]
+        rows = _csv_rows(out)[1:]
         blocks = {}
         for row in rows:
             blocks.setdefault(tuple(row[:3]), []).append(row)
@@ -729,7 +735,7 @@ class TestTable:
         assert main(["table", "--m", "0:64", "--n", "1:64", "--gammas", "0.5",
                      "--r-steps", "2", "--theta-steps", "8", "--with-cauchy",
                      "--out", str(out)]) == 0
-        rows = list(csv.reader(out.open()))[1:]
+        rows = _csv_rows(out)[1:]
         assert len(rows) == 65 * 64 * 16
         rng = np.random.default_rng(2105)
         picks = [(64, 64), (63, 63), (64, 1), (0, 64)] + [

@@ -55,6 +55,9 @@ class TestParams:
             SpectralParams(2.0, -1, 0)
         with pytest.raises(DomainError):
             SpectralParams(2.0, 0, 65)
+        for nu in ("2.5", None, 2.5j):
+            with pytest.raises(DomainError):
+                SpectralParams(nu, 0, 0)
 
     @pytest.mark.parametrize("m, n", [(np.int64(1), 0), (1, np.int32(3)), (True, np.uint8(3))])
     def test_integer_like_indices_stored_as_int(self, m, n):
@@ -66,6 +69,11 @@ class TestParams:
     def test_non_integer_indices_rejected(self, m, n):
         with pytest.raises(DomainError):
             SpectralParams(2.5, m, n)
+
+    @pytest.mark.parametrize("nu", [np.float32(2.5), np.float16(2.5), np.int64(3)])
+    def test_real_number_strength_stored_as_float(self, nu):
+        sp = SpectralParams(nu, 0, 0)
+        assert type(sp.nu) is float and sp == SpectralParams(float(nu), 0, 0)
 
     def test_eigenvalue_and_gamma(self):
         assert eigenvalue(2.5, 1) == 2.5 * 3 - 2
