@@ -11,6 +11,8 @@ result with u^(gamma+1).  Every route here is checked against the others
 in the test suite, with a brute-force 2D oracle as the final arbiter.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, NZeroError
@@ -73,7 +75,7 @@ def cauchy_monomial_2f1(p: int, q: int, k: int, gamma: float, z: complex) -> com
     p, q, k, gamma = _check_monomial(p, q, k, gamma)
     if p < q:
         raise DomainError(f"this route needs p >= q, got ({p}, {q})")
-    z = complex(z)
+    z = _check_disk(z)
     r2 = z.real * z.real + z.imag * z.imag
     if not 0 < r2 <= 0.95**2:
         raise DomainError("this route needs 0 < |z| <= 0.95")
@@ -123,7 +125,7 @@ def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex 
 
 def cauchy_zernike_quad(p: ZernikeParams, z: complex) -> complex:
     """Term-by-term transform of the explicit sum through the monomial route."""
-    z = complex(z)
+    z = _check_disk(z, strict=True)
     return sum(c * cauchy_monomial_closed(b, a, j, p.gamma, z)
                for a, b, j, c in _explicit_terms(p.m, p.n, p.gamma))
 
@@ -133,35 +135,50 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     """Brute-force oracle: 2D quadrature in polar coordinates centred at z.
 
     The radial coordinate runs from z to the boundary, which removes the
-    Cauchy kernel singularity (the Jacobian cancels it exactly).  The
-    sine-squared substitution clusters nodes at the rim so the weight
-    factor (1 - |w|^2)^gamma is integrated accurately for fractional
-    gamma.  The whole n_theta x n_r grid is built as one array, and ``f``
-    is called once, on a 1-D complex array of the grid points strictly
-    inside the disk; it must broadcast, returning an array of that shape
-    or a scalar (a constant such as ``lambda w: 1.0`` works).
+    Cauchy kernel singularity (the Jacobian cancels it exactly).  On the
+    ray at angle phi, with beta = Re(conj(z) e^(i phi)), the boundary lies
+    at rho = reach, and 1 - |w|^2 = (reach - rho) (reach + rho + 2 beta).
+    The substitution rho = reach (1 - c^(2q)), c = cos(pi tau / 2), with
+    tau in [0, 1], clusters the nodes at the rim: reach - rho is
+    reach c^(2q), free of the cancellation in 1 - |w|^2, and the Jacobian
+    is reach q pi c^(2q-1) sin(pi tau / 2).  The weight's rim factor
+    c^(2q gamma) and the Jacobian's c^(2q-1) are taken as one power
+    c^(2q(gamma+1)-1), which cannot overflow, so the outer nodes still
+    count where c^(2q) alone underflows (q = 200 at gamma = -0.99).  With
+    q = max(1, ceil(2 / (gamma+1))) that power is at least c^3, so the
+    radial integrand stays smooth for every gamma > -1; q = 1 is the
+    sine-squared map.
+
+    The whole n_theta x n_r grid is built as one array, and ``f`` is
+    called once, on a 1-D complex array of the grid points in the disk;
+    it must broadcast, returning an array of that shape or a scalar (a
+    constant such as ``lambda w: 1.0`` works).
     """
     gamma = _check_weight(gamma)
     z = _check_disk(z, strict=True)
     n_theta = _check_count(n_theta, 8, "angular node count")
     rule = gauss_legendre(_check_count(n_r, 4, "radial node count"))
     tau = 0.5 * (rule.nodes + 1.0)
-    wtau = 0.5 * rule.weights
-    sin_sq = np.sin(0.5 * np.pi * tau) ** 2
-    jac = 0.5 * np.pi * np.sin(np.pi * tau)
+    q = max(1, math.ceil(2.0 / (gamma + 1.0)))
+    c = np.cos(0.5 * np.pi * tau)
+    radial = 0.5 * rule.weights * (q * np.pi * np.sin(0.5 * np.pi * tau)
+                                   * c ** (2.0 * q * (gamma + 1.0) - 1.0))
     u0 = 1.0 - (z.real * z.real + z.imag * z.imag)
     phi = 2.0 * np.pi * np.arange(n_theta) / n_theta
     e = np.cos(phi) + 1j * np.sin(phi)
     beta = (z.conjugate() * e).real
     reach = -beta + np.sqrt(beta * beta + u0)
     # rows are angles, columns are radial nodes
-    w = z + (reach[:, None] * sin_sq) * e[:, None]
-    uw = 1.0 - (w.real * w.real + w.imag * w.imag)
-    inside = uw > 0.0
+    rho = reach[:, None] * (1.0 - c ** (2 * q))
+    w = z + rho * e[:, None]
+    # (1 - |w|^2) / c^(2q); 0 only on a ray of length 0, where u0 is
+    # too small for reach to resolve
+    base = reach[:, None] * (reach[:, None] + rho + 2.0 * beta[:, None])
+    inside = base > 0.0
     vals = np.zeros(w.shape, complex)
-    vals[inside] = f(w[inside]) * uw[inside] ** gamma
+    vals[inside] = f(w[inside]) * base[inside] ** gamma
     # elementwise, not ``@``: a complex matrix-vector product wakes the
     # BLAS thread pool, which costs more than the sum itself
-    ring = (vals * (wtau * jac)).sum(axis=1)
+    ring = (vals * radial).sum(axis=1)
     acc = np.sum(reach * ring * e.conjugate())
     return complex(acc * (2.0 * np.pi / n_theta) / np.pi)

@@ -51,15 +51,30 @@ def pochhammer(a: float, k: int) -> float:
     return r
 
 
+def _check_real(x, what: str) -> float:
+    """Return x as a float; raise DomainError unless it is a real number
+    (numpy's included) with a finite float value."""
+    # int and float first: the ABC check is slower
+    if not isinstance(x, (int, float, numbers.Real)):
+        raise DomainError(f"{what} must be a real number, got {x!r}")
+    try:
+        v = float(x)
+    except OverflowError:
+        # an int too large for a float, whose repr may be too long to print
+        raise DomainError(f"{what} must be finite, got a number beyond the "
+                          f"float range") from None
+    if not math.isfinite(v):
+        raise DomainError(f"{what} must be finite, got {x!r}")
+    return v
+
+
 def _check_weight(g: float) -> float:
     """Return the weight exponent g as a float; raise DomainError unless it
     is a real number (numpy's included), finite and > -1."""
-    # int and float first: the ABC check is slower
-    if not isinstance(g, (int, float, numbers.Real)):
-        raise DomainError(f"weight exponent must be a real number, got {g!r}")
-    if not (math.isfinite(g) and g > -1):
-        raise DomainError(f"weight exponent must be finite and > -1, got {g!r}")
-    return float(g)
+    v = _check_real(g, "weight exponent")
+    if not v > -1:
+        raise DomainError(f"weight exponent must be > -1, got {g!r}")
+    return v
 
 
 def _check_count(n, least: int, what: str) -> int:

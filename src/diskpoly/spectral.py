@@ -30,15 +30,13 @@ zbar and z zbar by z zbar = 1 - u, and they hold only for canonical input,
 which every DiskExpr is.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import algebra
 from .algebra import DiskExpr, add, max_abs_coeff, mul, scale
 from .errors import DomainError
-from .numerics import _check_count, pochhammer
+from .numerics import _check_count, _check_real, pochhammer
 from .zernike import INDEX_CAP, ZernikeParams, explicit_expr
 
 __all__ = [
@@ -63,17 +61,16 @@ class SpectralParams:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.nu, (int, float, numbers.Real)) and math.isfinite(self.nu)):
-            raise DomainError(f"twist strength must be finite, got {self.nu!r}")
-        if self.nu <= 0.5:
-            raise DomainError(f"discrete levels need nu > 1/2, got {self.nu}")
+        nu = _check_real(self.nu, "twist strength")
+        if nu <= 0.5:
+            raise DomainError(f"discrete levels need nu > 1/2, got {nu}")
         m = _check_count(self.m, 0, "level")
-        if not m < self.nu - 0.5:
-            raise DomainError(f"level {m} is not below the continuum for nu = {self.nu}")
+        if not m < nu - 0.5:
+            raise DomainError(f"level {m} is not below the continuum for nu = {nu}")
         n = _check_count(self.n, 0, "angular index")
         if n > INDEX_CAP:
             raise DomainError(f"angular index must lie in [0, {INDEX_CAP}], got {n}")
-        object.__setattr__(self, "nu", float(self.nu))
+        object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
 

@@ -23,8 +23,8 @@ their integer parts, ``_signed_counts``.  None of the other five routes
 uses any of them.
 """
 
-import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -93,15 +93,23 @@ def _check_disk(z: complex, strict: bool = False,
                 arrays: bool = False) -> complex | np.ndarray:
     """Coerce z to complex and check it lies in the disk; NaN never does.
 
-    With ``arrays`` set, an ndarray of points of any nonzero rank is
-    coerced to a complex array instead and checked at its largest |z|.
+    z is a ``numbers.Complex`` (numpy's included) or a numeric 0-d array;
+    with ``arrays`` set, a numeric ndarray of any nonzero rank is coerced
+    to a complex array instead and checked at its largest |z|.
     """
-    if arrays and isinstance(z, np.ndarray) and z.ndim:
+    # complex and float first: the ABC check is slower
+    if type(z) in (complex, float) or isinstance(z, numbers.Complex) or (
+            isinstance(z, np.ndarray) and not z.ndim and z.dtype.kind in "biufc"):
+        try:
+            z = complex(z)
+        except OverflowError:  # an int too large for a float
+            z = complex(math.inf)
+        r2 = z.real * z.real + z.imag * z.imag
+    elif arrays and isinstance(z, np.ndarray) and z.dtype.kind in "biufc":
         z = np.asarray(z, complex)
         r2 = float((z.real * z.real + z.imag * z.imag).max(initial=0.0))
     else:
-        z = complex(z)
-        r2 = z.real * z.real + z.imag * z.imag
+        raise DomainError(f"point must be a complex number, got {type(z).__name__}")
     if strict:
         if not r2 < 1.0:
             raise DomainError(f"point must lie strictly inside the disk, |z| = {math.sqrt(r2):g}")
@@ -347,7 +355,7 @@ def _memo_weight_factors(zb: bytes, tb: bytes, e: float,
     return factors
 
 
-def _contour_prefactors(p: ZernikeParams, zs: np.ndarray) -> list[float]:
+def _contour_prefactors(p: ZernikeParams, zs: np.ndarray) -> np.ndarray:
     """The prefactor -(gamma+m+1)_n m! u^-gamma at each point of the 1-D
     array zs."""
     m, n, g = p.m, p.n, p.gamma
@@ -362,7 +370,7 @@ def _contour_prefactors(p: ZernikeParams, zs: np.ndarray) -> list[float]:
             raise NonConvergentError(
                 f"contour prefactor overflows for (m={m}, n={n}, gamma={g:g}) "
                 f"at z={z!r}") from None
-    return prefs
+    return np.array(prefs, float)
 
 
 def _contour_sum(p: ZernikeParams, zs: np.ndarray,
@@ -399,35 +407,37 @@ def _contour_sum(p: ZernikeParams, zs: np.ndarray,
     step = max(1, _PASS_SIZE // len(t))
     for i in range(0, len(zs), step):
         zc = zs[i:i + step, None]
-        # an overflowing pass shows as a non-finite value, which the
-        # adaptive rule and the CLI reject; a numpy warning would only
-        # add a second line to the CLI's one-line error
-        with np.errstate(all="ignore"):
-            if zc.size * len(t) <= _MEMO_ENTRIES:
-                wpow, d = _memo_weight_factors(zc.tobytes(), t.tobytes(), e, m)
-            else:
-                wpow, d = _weight_factors(zc, t, e, m)
-            vals = tn * wpow / d
-            sums[i:i + step] = vals.sum(axis=1)
-            mods[i:i + step] = np.abs(vals).sum(axis=1)
+        if zc.size * len(t) <= _MEMO_ENTRIES:
+            wpow, d = _memo_weight_factors(zc.tobytes(), t.tobytes(), e, m)
+        else:
+            wpow, d = _weight_factors(zc, t, e, m)
+        vals = tn * wpow / d
+        sums[i:i + step] = vals.sum(axis=1)
+        mods[i:i + step] = np.abs(vals).sum(axis=1)
     return sums, mods
 
 
-def _check_pass(p: ZernikeParams, n_nodes: int, v: complex, z: complex):
-    """Raise NonConvergentError unless the pass's value v at z is finite."""
-    if not cmath.isfinite(v):
+def _pass_values(p: ZernikeParams, zs: np.ndarray, prefs: np.ndarray,
+                 sums: np.ndarray, n_nodes: int) -> np.ndarray:
+    """One pass's values prefs * (sums / n_nodes) at the points zs; raises
+    NonConvergentError at the first non-finite one in array order."""
+    values = prefs * (sums / n_nodes)
+    finite = np.isfinite(values)
+    if not finite.all():
         raise NonConvergentError(
             f"contour pass at {n_nodes} nodes is not finite for (m={p.m}, "
-            f"n={p.n}, gamma={p.gamma:g}) at z={complex(z)!r}")
+            f"n={p.n}, gamma={p.gamma:g}) at z={complex(zs[finite.argmin()])!r}")
+    return values
 
 
-def _shaped(values: list[complex], z: complex | np.ndarray) -> complex | np.ndarray:
+def _shaped(values: np.ndarray, z: complex | np.ndarray) -> complex | np.ndarray:
     """The values in the shape of the input: a complex for a scalar z."""
-    if isinstance(z, np.ndarray):
-        return np.array(values, complex).reshape(z.shape)
-    return values[0]
+    return values.reshape(z.shape) if isinstance(z, np.ndarray) else complex(values[0])
 
 
+# numpy's float errors are ignored once per call: an overflowing pass
+# shows as a non-finite value, which _pass_values rejects as one error
+@np.errstate(all="ignore")
 def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> complex | np.ndarray:
     """Boundary integral with a fixed number of trapezoid nodes.
 
@@ -448,12 +458,10 @@ def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> com
     zs = np.ravel(z)
     prefs = _contour_prefactors(p, zs)
     sums, _ = _contour_sum(p, zs, _roots_of_unity(n_nodes))
-    values = [c * v for c, v in zip(prefs, (sums / n_nodes).tolist())]
-    for v, zi in zip(values, zs.tolist()):
-        _check_pass(p, n_nodes, v, zi)
-    return _shaped(values, z)
+    return _shaped(_pass_values(p, zs, prefs, sums, n_nodes), z)
 
 
+@np.errstate(all="ignore")
 def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
     """Double the trapezoid rule from 64 nodes until two passes agree to 1e-10.
 
@@ -471,33 +479,27 @@ def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray) -> complex 
     n_nodes = _START_NODES
     zs = np.ravel(z)
     prefs = _contour_prefactors(p, zs)
-    values = [0j] * zs.size
-    prev = {}  # point index -> its value at the last pass
-    todo = np.arange(zs.size)
     sums, mods = _contour_sum(p, zs, _roots_of_unity(n_nodes))
+    values = _pass_values(p, zs, prefs, sums, n_nodes)  # each point's last pass
+    todo = np.arange(zs.size)  # the points still moving
     while todo.size:
-        moving = []
-        for k, (i, v, l1) in enumerate(zip(todo.tolist(), (sums / n_nodes).tolist(),
-                                           (mods / n_nodes).tolist())):
-            c = prefs[i] * v
-            _check_pass(p, n_nodes, c, zs[i])
-            s = abs(prefs[i]) * l1
-            if i in prev and abs(c - prev[i]) <= max(_REL_TOL * abs(c), 1e-13 * s):
-                values[i] = c
-            else:
-                moving.append(k)
-            prev[i] = c
-        todo, sums, mods = todo[moving], sums[moving], mods[moving]
-        if not todo.size:
-            break
         if 2 * n_nodes > MAX_NODES:
             raise NonConvergentError(
                 f"contour rule still moving at {n_nodes} nodes for (m={p.m}, n={p.n}, "
                 f"gamma={p.gamma:g}) at z={complex(zs[todo[0]])!r}")
         n_nodes *= 2
-        new_sums, new_mods = _contour_sum(p, zs[todo], _roots_of_unity(n_nodes)[1::2])
+        zt, pt = zs[todo], prefs[todo]
+        new_sums, new_mods = _contour_sum(p, zt, _roots_of_unity(n_nodes)[1::2])
         sums += new_sums
         mods += new_mods
+        cur = _pass_values(p, zt, pt, sums, n_nodes)
+        # np.hypot is libm's hypot, as Python's complex abs is; np.abs is not
+        d = cur - values[todo]
+        done = np.hypot(d.real, d.imag) <= np.maximum(
+            _REL_TOL * np.hypot(cur.real, cur.imag), 1e-13 * (np.abs(pt) * (mods / n_nodes)))
+        values[todo] = cur
+        keep = ~done
+        todo, sums, mods = todo[keep], sums[keep], mods[keep]
     return _shaped(values, z)
 
 
@@ -527,10 +529,7 @@ def eval_route(p: ZernikeParams, z: complex, route: str,
 
 def value_at_origin(p: ZernikeParams) -> float:
     """Closed form at z = 0: zero off the diagonal, else a signed factorial."""
-    if p.m != p.n:
-        return 0.0
-    s = float((-1) ** p.m * factorial(p.m))
-    return s * pochhammer(p.gamma + p.m + 1, p.m)
+    return _jacobi_prefactor(p.m, 0, p.gamma) if p.m == p.n else 0.0
 
 
 def monomial_coeffs(p: ZernikeParams) -> dict[tuple[int, int], float]:

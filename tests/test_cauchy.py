@@ -126,6 +126,8 @@ def test_weight_accepts_numpy_floats(g):
 def test_monomial_guards():
     with pytest.raises(DomainError):
         cauchy_monomial_closed(-1, 0, 0, 0.5, Z0)
+    with pytest.raises(DomainError, match="finite"):
+        cauchy_monomial_closed(1, 0, 0, 10**400, 0.3)
     for bad in (2.5, 1.0, "1", None):
         with pytest.raises(DomainError):
             cauchy_monomial_closed(bad, 0, 0, 0.5, Z0)
@@ -201,6 +203,27 @@ def test_zernike_direct_2d_spotchecks():
         a = cauchy_zernike_closed(p, Z0)
         b = cauchy_direct_2d(lambda w: eval_explicit(p, w), g, Z0, 128, 256)
         assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
+
+
+def test_direct_2d_resolves_rim_singularity():
+    # (1 - |w|^2)^gamma is singular at the rim for gamma < 0; the radial
+    # map's power q = max(1, ceil(2 / (gamma + 1))) smooths it, and the
+    # rim distance is taken without cancellation
+    cases = [(1, 1, 0.95 + 0j), (2, 0, 0.7 - 0.69j), (3, 2, Z0), (5, 1, 0.5j),
+             (4, 4, 0.95 + 0j)]
+    for g in (-0.9, -0.7, -0.5, 0.37):
+        for m, n, z in cases:
+            p = ZernikeParams(m, n, g)
+            a = cauchy_zernike_quad(p, z)
+            b = cauchy_direct_2d(lambda w: eval_explicit(p, w), g, z, 96, 192)
+            assert normalized_deviation(a, b, 0.0) <= 1e-10, (m, n, g, z)
+    # at gamma = -0.99, q = 200 and c^(2q) underflows at the outer nodes,
+    # which still count: the value is finite and close
+    p = ZernikeParams(2, 1, -0.99)
+    a = cauchy_zernike_quad(p, 0.7 - 0.69j)
+    b = cauchy_direct_2d(lambda w: eval_explicit(p, w), -0.99, 0.7 - 0.69j, 96, 192)
+    assert math.isfinite(b.real) and math.isfinite(b.imag)
+    assert normalized_deviation(a, b, 0.0) <= 1e-6
 
 
 def test_zernike_n_zero():
@@ -305,6 +328,26 @@ def test_nan_point_rejected():
         cauchy_monomial_closed(2, 1, 1, 0.5, z)
     with pytest.raises(DomainError):
         cauchy_monomial_2f1(2, 1, 1, 0.5, z)
+
+
+def test_point_types():
+    # any complex number or 0-d array is a point; an ndarray of points is
+    # refused by the scalar routes; anything else is a DomainError
+    p = ZernikeParams(2, 1, 0.5)
+    for z in (np.float32(0.25), np.array(0.25), np.complex128(0.25)):
+        assert cauchy_zernike_quad(p, z) == cauchy_zernike_quad(p, 0.25)
+        assert cauchy_monomial_closed(2, 1, 1, 0.5, z) == \
+            cauchy_monomial_closed(2, 1, 1, 0.5, 0.25)
+        assert cauchy_monomial_2f1(2, 1, 1, 0.5, z) == cauchy_monomial_2f1(2, 1, 1, 0.5, 0.25)
+    for bad in ("0.3", None, [0.3], np.array([0.3, 0.2])):
+        with pytest.raises(DomainError, match="complex number"):
+            cauchy_zernike_quad(p, bad)
+        with pytest.raises(DomainError, match="complex number"):
+            cauchy_monomial_closed(2, 1, 1, 0.5, bad)
+        with pytest.raises(DomainError, match="complex number"):
+            cauchy_monomial_2f1(2, 1, 1, 0.5, bad)
+        with pytest.raises(DomainError, match="complex number"):
+            cauchy_direct_2d(lambda w: w, 0.5, bad, 16, 32)
 
 
 def test_underflowing_point_is_the_origin():

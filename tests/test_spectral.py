@@ -58,6 +58,9 @@ class TestParams:
         for nu in ("2.5", None, 2.5j):
             with pytest.raises(DomainError):
                 SpectralParams(nu, 0, 0)
+        for nu in (10**400, -10**400, float("inf")):
+            with pytest.raises(DomainError, match="finite"):
+                SpectralParams(nu, 0, 0)
 
     @pytest.mark.parametrize("m, n", [(np.int64(1), 0), (1, np.int32(3)), (True, np.uint8(3))])
     def test_integer_like_indices_stored_as_int(self, m, n):

@@ -69,6 +69,11 @@ class TestParams:
         for g in ("0.5", None, 0.5j):
             with pytest.raises(DomainError, match="real number"):
                 ZernikeParams(1, 1, g)
+        # ints beyond the float range, and one whose repr exceeds Python's
+        # int-to-str digit limit
+        for g in (10**400, -10**400, 10**5000):
+            with pytest.raises(DomainError, match="finite"):
+                ZernikeParams(1, 1, g)
 
     def test_gamma_coerced_to_float(self):
         assert ZernikeParams(1, 1, 2).gamma == 2.0
@@ -231,6 +236,49 @@ class TestRouteAgreement:
     def test_unknown_route(self):
         with pytest.raises(DomainError):
             eval_route(ZernikeParams(1, 1, 0.0), 0.5, "magic")
+
+
+class TestPointTypes:
+    """Every route takes any complex number, numpy's included, and a 0-d
+    array; only the array routes take an ndarray of points; anything else
+    is a DomainError."""
+
+    P = ZernikeParams(2, 1, 0.5)
+    # 0.25 is exact in every float type below
+    SAME = (Fraction(1, 4), np.float32(0.25), np.float64(0.25), np.complex64(0.25),
+            np.array(0.25), np.array(0.25, np.float32), np.array(0.25 + 0j))
+
+    def test_numbers_and_0d_arrays_accepted(self):
+        for route in ROUTES:
+            want = eval_route(self.P, 0.25, route)
+            for z in self.SAME:
+                got = eval_route(self.P, z, route)
+                assert type(got) is complex and got == want, (route, z)
+        # numpy's int 0 (the origin) and True (the point 1)
+        assert eval_route(self.P, np.int64(0), "explicit") == eval_explicit(self.P, 0j)
+        assert eval_route(self.P, True, "jacobi") == eval_jacobi(self.P, 1.0)
+
+    @pytest.mark.parametrize("z", ["abc", "0.3", None, [0.3], (0.3,), {0.3},
+                                   np.array(["0.3"]), np.array("0.3"),
+                                   np.array([0.3], object)])
+    def test_bad_types_rejected(self, z):
+        for route in ROUTES:
+            with pytest.raises(DomainError, match="complex number"):
+                eval_route(self.P, z, route)
+
+    def test_arrays_only_on_array_routes(self):
+        zs = np.array([0.25, 0.5j])
+        for route in ("gauss1", "gauss2", "rodrigues"):
+            with pytest.raises(DomainError, match="complex number"):
+                eval_route(self.P, zs, route)
+        for route in ("explicit", "jacobi", "contour"):
+            got = eval_route(self.P, zs, route)
+            assert got.tolist() == [eval_route(self.P, z, route) for z in zs.tolist()]
+
+    def test_huge_int_point_outside_disk(self):
+        for route in ROUTES:
+            with pytest.raises(DomainError, match="disk"):
+                eval_route(self.P, 10**400, route)
 
 
 class TestArrayInput:
@@ -537,6 +585,25 @@ class TestContourArrays:
                 eval_contour(p, z, 64)
         with pytest.raises(NonConvergentError, match=r"not finite.*0\.3\+0\.2j"):
             eval_contour(p, 0.3 + 0.2j, 64)
+
+    @pytest.mark.parametrize("rule", [eval_contour_adaptive,
+                                      lambda p, z: eval_contour(p, z, 64)],
+                             ids=["adaptive", "fixed"])
+    def test_first_non_finite_point_named(self, rule):
+        # At (64, 64), gamma = 1000, the prefactor and the node sum are
+        # finite at 0.1 and 0.2, but their product overflows; at 0.5 the
+        # prefactor itself is inf; at 0.8 and 0.9 its power u**-gamma
+        # overflows.  0 and 0.05 give finite passes.
+        p = ZernikeParams(64, 64, 1000.0)
+        for pts, first in (([0.0, 0.05, 0.2, 0.1], r"0\.2"),
+                           ([[0.05, 0.0], [0.2, 0.1]], r"0\.2"),
+                           ([0.05, 0.5, 0.1], r"0\.5")):
+            with pytest.raises(NonConvergentError,
+                               match=rf"pass at 64 nodes is not finite .* at z=\({first}\+0j\)$"):
+                rule(p, np.array(pts))
+        with pytest.raises(NonConvergentError,
+                           match=r"prefactor overflows .* at z=\(0\.9\+0j\)$"):
+            rule(p, np.array([0.05, 0.9, 0.8]))
 
     def test_overflowing_polar_power_is_a_convergence_error(self):
         # |w|^(gamma+m) overflows on the polar path for a fractional
