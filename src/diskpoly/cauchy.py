@@ -7,15 +7,16 @@ incomplete beta integral in |z|^2; the sign of the angular charge q - p
 decides whether the inner or the outer radial piece survives.  On the
 polynomial family itself the transform has a strikingly simple closed
 form: it trades (m, n, gamma) for (m, n-1, gamma+1) and dresses the
-result with u^(gamma+1).  Every route here is checked against the others
-in the test suite, with a brute-force 2D oracle as the final arbiter.
+result with u^(gamma+1); at n = 0 it is one incomplete beta integral.
+Every route here is checked against the others in the test suite, with
+a brute-force 2D oracle as the final arbiter.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DomainError, NZeroError
+from .errors import DomainError
 from .numerics import _check_count, _check_weight, gauss_legendre, hyp2f1, incomplete_beta
 from .zernike import ZernikeParams, _check_disk, _explicit_terms, jacobi_line
 
@@ -46,11 +47,12 @@ def cauchy_monomial_closed(p: int, q: int, k: int, gamma: float, z: complex) -> 
     At z = 0, and wherever |z|^2 underflows to 0, the value is the full
     beta integral when the result charge chi - 1 vanishes, and zero
     otherwise; for chi <= 0 it is also zero wherever z^(1 - chi)
-    underflows to 0.
+    underflows to 0.  |z|^2 is clamped at 1, the rim, where the branches
+    take their limits from inside: the complete beta integral and 0.
     """
     p, q, k, gamma = _check_monomial(p, q, k, gamma)
-    z = _check_disk(z, strict=True)
-    r2 = z.real * z.real + z.imag * z.imag
+    z = _check_disk(z)
+    r2 = min(z.real * z.real + z.imag * z.imag, 1.0)
     chi = q - p
     if r2 == 0:
         if chi == 1:
@@ -109,15 +111,19 @@ def cauchy_closed_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int
 def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
     """Closed form on the polynomial family: u^(gamma+1) times the member
     at (m, n-1) for weight exponent gamma+1, the last transform of
-    ``cauchy_closed_line`` up to (m, n).  Needs n >= 1 (the transform of
-    an anti-holomorphic member leaves the polynomial family).
+    ``cauchy_closed_line`` up to (m, n).  At n = 0 it is the member's one
+    explicit term, -(gamma+1)_m B_{|z|^2}(m+1, gamma+1) z^(-m-1), through
+    ``cauchy_monomial_closed`` point by point, as ``cauchy_zernike_quad``.
 
     ``z`` may be a scalar, which gives a Python complex, or an ndarray of
     points in the closed disk, which gives a complex array of its shape.
     """
     if p.n == 0:
-        raise NZeroError(
-            f"no closed polynomial form at n = 0 (indices ({p.m}, {p.n}))")
+        c = _explicit_terms(p.m, 0, p.gamma)[0][3]
+        # 0 + gives a zero imaginary part the sign the quad route's sum gives
+        one = lambda w: 0 + c * cauchy_monomial_closed(p.m, 0, 0, p.gamma, w)
+        z = _check_disk(z, arrays=True)
+        return np.vectorize(one, otypes=[complex])(z) if isinstance(z, np.ndarray) else one(z)
     for v in cauchy_closed_line(p.n - p.m, p.gamma, z, min(p.m, p.n - 1)):
         pass
     return v

@@ -126,16 +126,6 @@ def cmd_verify(ns) -> int:
 _ROW_SHAPES = {"csv": ("", ",", "\r\n", ""), "json": ("    [", ", ", "]", ",\n")}
 
 
-def _quad_column(p, values: np.ndarray, points) -> np.ndarray:
-    """The n = 0 transform column, point by point, checking each row's
-    value and then its transform before the next row is computed."""
-    column = []
-    for v, z in zip(values.tolist(), points):
-        _finite(v)
-        column.append(_finite(cauchy_zernike_quad(p, z)))
-    return np.array(column, complex)
-
-
 def _line_member(lines: dict, key, start, s: int, last: bool):
     """Member s of the charge line kept under ``key`` in ``lines``.
 
@@ -167,10 +157,11 @@ def _table_blocks(ns, params, n_gammas, points, start, sep, end, joiner):
     column from ``cauchy.cauchy_closed_line`` and equals
     ``cauchy_zernike_closed``, bit for bit.  Along a line m rises by one
     per block, so each line holds only its running recurrence state
-    between blocks, and is dropped after its last block.  The n = 0
-    transform column has no closed form and is computed point by point.
-    The point cells are formatted once, and a block's text is one "%" call
-    that fills its value cells in with report._f17's "%.17g".  Every cell
+    between blocks, and is dropped after its last block.  An n = 0 block
+    takes its transform column from ``cauchy_zernike_closed``, point by
+    point, and only once its value column is finite.  The point cells are
+    formatted once, and a block's text is one "%" call that fills its
+    value cells in with report._f17's "%.17g".  Every cell
     is an int or such a number, so none holds ",", '"' or "%" and no CSV
     cell needs quoting.  A block yields no text unless all its cells are
     finite, and the error names the first non-finite cell in row order,
@@ -192,7 +183,8 @@ def _table_blocks(ns, params, n_gammas, points, start, sep, end, joiner):
                                  lambda: jacobi_line(k, g, zs, min(m_last, m_last + k)),
                                  min(p.m, p.n), last)]
             if ns.with_cauchy and p.n == 0:
-                cols.append(_quad_column(p, cols[0], points))
+                if np.isfinite(cols[0]).all():
+                    cols.append(cauchy_zernike_closed(p, zs))
             elif ns.with_cauchy:
                 cols.append(_line_member(
                     lines, ("transform", at, k),
@@ -219,8 +211,6 @@ def cmd_table(ns) -> int:
     radii = [ns.r_max * i / ns.r_steps for i in range(1, ns.r_steps + 1)]
     if ns.include_boundary:
         radii.append(1.0)
-    if ns.with_cauchy and ns.include_boundary and any(n == 0 for n in n_vals):
-        _flag_error("transform of the n=0 column is undefined on the boundary ring")
     thetas = [2.0 * math.pi * j / ns.theta_steps for j in range(ns.theta_steps)]
     points = [complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in thetas]
     params = [ZernikeParams(m, n, g) for m in m_vals for n in n_vals for g in gammas]

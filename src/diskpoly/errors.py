@@ -7,7 +7,6 @@ __all__ = [
     "PoleAtCError",
     "OffsetMismatchError",
     "ParamMismatchError",
-    "NZeroError",
     "TooLargeError",
 ]
 
@@ -34,10 +33,6 @@ class OffsetMismatchError(DiskPolyError):
 
 class ParamMismatchError(DiskPolyError):
     """Operands carry incompatible parameters (e.g. different weights)."""
-
-
-class NZeroError(DiskPolyError):
-    """The closed-form transform needs a strictly positive holomorphic degree."""
 
 
 class TooLargeError(DiskPolyError):

@@ -35,7 +35,7 @@ import numpy as np
 from . import algebra
 from .algebra import DiskExpr
 from .errors import DomainError, NonConvergentError, ParamMismatchError
-from .numerics import _check_count, _check_weight, _jacobi_ladder, hyp2f1, jacobi_p, pochhammer
+from .numerics import _check_count, _check_weight, _jacobi_ladder, hyp2f1, pochhammer
 
 __all__ = [
     "ZernikeParams",
@@ -89,27 +89,31 @@ def _check_indices(m: int, n: int) -> tuple[int, int]:
     return m, n
 
 
-def _check_disk(z: complex, strict: bool = False,
-                arrays: bool = False) -> complex | np.ndarray:
-    """Coerce z to complex and check it lies in the disk; NaN never does.
-
-    z is a ``numbers.Complex`` (numpy's included) or a numeric 0-d array;
-    with ``arrays`` set, a numeric ndarray of any nonzero rank is coerced
-    to a complex array instead and checked at its largest |z|.
-    """
+def _check_point(z: complex, arrays: bool = False) -> complex | np.ndarray:
+    """Coerce z to complex; raise DomainError unless it is a
+    ``numbers.Complex`` (numpy's included) or a numeric 0-d array.  With
+    ``arrays`` set, a numeric ndarray of any nonzero rank is coerced to a
+    complex array instead.  An int too large for a float is inf."""
     # complex and float first: the ABC check is slower
     if type(z) in (complex, float) or isinstance(z, numbers.Complex) or (
             isinstance(z, np.ndarray) and not z.ndim and z.dtype.kind in "biufc"):
         try:
-            z = complex(z)
+            return complex(z)
         except OverflowError:  # an int too large for a float
-            z = complex(math.inf)
-        r2 = z.real * z.real + z.imag * z.imag
-    elif arrays and isinstance(z, np.ndarray) and z.dtype.kind in "biufc":
-        z = np.asarray(z, complex)
-        r2 = float((z.real * z.real + z.imag * z.imag).max(initial=0.0))
-    else:
-        raise DomainError(f"point must be a complex number, got {type(z).__name__}")
+            return complex(math.inf)
+    if arrays and isinstance(z, np.ndarray) and z.dtype.kind in "biufc":
+        return np.asarray(z, complex)
+    raise DomainError(f"point must be a complex number, got {type(z).__name__}")
+
+
+def _check_disk(z: complex, strict: bool = False,
+                arrays: bool = False) -> complex | np.ndarray:
+    """Coerce z by ``_check_point`` and check it lies in the disk, an
+    array at its largest |z|; NaN never does."""
+    z = _check_point(z, arrays)
+    r2 = z.real * z.real + z.imag * z.imag
+    if type(z) is not complex:
+        r2 = float(r2.max(initial=0.0))
     if strict:
         if not r2 < 1.0:
             raise DomainError(f"point must lie strictly inside the disk, |z| = {math.sqrt(r2):g}")
@@ -197,18 +201,18 @@ def eval_jacobi(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarr
     The prefactor is symmetric under conjugation of the index pair,
     (-1)^s s! (gamma+s+1)_l with s = min(m,n), l = max(m,n); the
     one-sided variant (gamma+m+1)_n holds only for m <= n.  ``z`` may be
-    a scalar or an ndarray, as for ``eval_explicit``.
+    a scalar or an ndarray, as for ``eval_explicit``.  The value is the
+    last member of ``jacobi_line`` up to (m, n).
     """
-    z = _check_disk(z, arrays=True)
-    m, n, g = p.m, p.n, p.gamma
-    s = min(m, n)
-    r2 = z.real * z.real + z.imag * z.imag
-    return _jacobi_prefactor(s, n - m, g) * _angular(z, n - m) * jacobi_p(
-        s, abs(m - n), g, 1.0 - 2.0 * r2)
+    for v in jacobi_line(p.n - p.m, p.gamma, z, min(p.m, p.n)):
+        pass
+    return v
 
 
+@lru_cache(maxsize=4096)
 def _jacobi_prefactor(s: int, k: int, g: float) -> float:
-    """(-1)^s s! (g+s+1)_l with l = s + |k|, the member's prefactor."""
+    """(-1)^s s! (g+s+1)_l with l = s + |k|, the member's prefactor;
+    cached, since ``eval_jacobi`` takes every prefactor of its line."""
     return float((-1) ** s * factorial(s)) * pochhammer(g + s + 1, s + abs(k))
 
 
@@ -223,11 +227,11 @@ def jacobi_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int):
     s = m + min(k, 0).
 
     One ladder of the Jacobi recurrence at x = 1 - 2|z|^2 and one angular
-    factor serve the whole line, and each member takes the prefactor,
-    angular factor and ladder rung in the order ``eval_jacobi`` does, so
-    it equals ``eval_jacobi`` at its indices bit for bit.  Between two
-    members the generator holds x, the recurrence's last two rungs and
-    the angular factor.  ``z`` may be a scalar or an ndarray, as for
+    factor serve the whole line, and each member is the prefactor times
+    the angular factor times the ladder rung; ``eval_jacobi`` is the last
+    member of the line up to its indices.  Between two members the
+    generator holds x, the recurrence's last two rungs and the angular
+    factor.  ``z`` may be a scalar or an ndarray, as for
     ``eval_explicit``; the line's indices are checked against INDEX_CAP
     before the first member.
     """
@@ -610,7 +614,7 @@ def norm_squared(p: ZernikeParams) -> float:
 def hermite(m: int, n: int, z: complex) -> complex:
     """Complex Hermite polynomial with the same double-sum shape."""
     m, n = _check_indices(m, n)
-    z = complex(z)
+    z = _check_point(z)
     zb = z.conjugate()
     acc = 0j
     for j, c in _signed_counts(m, n):
@@ -625,6 +629,7 @@ def hermite_limit_error(m: int, n: int, z: complex, rho: float) -> float:
     the polynomial approaches the complex Hermite polynomial as rho grows;
     the return value is the absolute deviation at this rho.
     """
+    z = _check_point(z)
     if rho <= abs(z):
         raise DomainError("need rho > |z| so the shrunk argument stays in the disk")
     p = ZernikeParams(m, n, rho * rho)

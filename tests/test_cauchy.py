@@ -5,6 +5,7 @@ each other, and against a brute-force 2D quadrature oracle that knows
 nothing about the algebra.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 
 from diskpoly import (
     DomainError,
-    NZeroError,
     ZernikeParams,
     cauchy_closed_line,
     cauchy_direct_2d,
@@ -22,6 +22,8 @@ from diskpoly import (
     cauchy_zernike_quad,
     eval_explicit,
     eval_jacobi,
+    incomplete_beta,
+    pochhammer,
 )
 from diskpoly.sampling import disk_points
 from diskpoly.suites import DEFAULT_GAMMAS, normalized_deviation
@@ -136,7 +138,20 @@ def test_monomial_guards():
     with pytest.raises(DomainError):
         cauchy_monomial_closed(0, 0, 0, -1.0, Z0)
     with pytest.raises(DomainError):
-        cauchy_monomial_closed(0, 0, 0, 0.5, 1.0 + 0j)
+        cauchy_monomial_closed(0, 0, 0, 0.5, 1.01 + 0j)
+
+
+def test_monomial_rim():
+    # on the rim the chi <= 0 branch is the complete beta integral and the
+    # chi > 0 branch vanishes; |z|^2 = 1 + 1e-13 is clamped to the rim
+    past = math.sqrt(1.0 + 1e-13)
+    for z in (1.0 + 0j, -1j, complex(0.6, 0.8), complex(past, 0.0), past * cmath.exp(1j)):
+        assert z.real * z.real + z.imag * z.imag >= 1.0
+        for p, q, k in ((2, 0, 1), (3, 1, 0), (0, 0, 2), (1, 1, 0)):
+            want = -incomplete_beta(p + 1, 0.5 + k + 1, 1.0) / z ** (1 + p - q)
+            assert cauchy_monomial_closed(p, q, k, 0.5, z) == want, (p, q, k, z)
+        for p, q, k in ((0, 1, 0), (0, 3, 0), (2, 4, 1)):
+            assert cauchy_monomial_closed(p, q, k, 0.5, z) == 0, (p, q, k, z)
 
 
 def test_zernike_closed_frozen_value():
@@ -227,13 +242,37 @@ def test_direct_2d_resolves_rim_singularity():
 
 
 def test_zernike_n_zero():
+    # an anti-holomorphic member has one explicit term, so the closed
+    # route is the quad route bit for bit (repr: the signs of zeros too)
+    for g in (-0.9, 0.0, 0.5, 5.5, 30.0):
+        for m in range(9):
+            p = ZernikeParams(m, 0, g)
+            for z in (0j, 1e-160 + 0j, 0.3 + 0.2j, 0.9 - 0.3j, 0.6885 + 0.5798j, Z0):
+                assert repr(cauchy_zernike_closed(p, z)) == repr(cauchy_zernike_quad(p, z)), \
+                    (m, g, z)
+    # check that value against the oracle
     p = ZernikeParams(2, 0, 0.5)
-    with pytest.raises(NZeroError):
-        cauchy_zernike_closed(p, Z0)
-    # the monomial route still works there; check it against the oracle
-    a = cauchy_zernike_quad(p, Z0)
+    a = cauchy_zernike_closed(p, Z0)
     b = cauchy_direct_2d(lambda w: eval_explicit(p, w), 0.5, Z0, 96, 192)
     assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
+
+
+@pytest.mark.parametrize("g", [-0.9, 0.0, 0.5, 5.5, 30.0])
+def test_zernike_n_zero_rim(g):
+    # on the rim the n = 0 transform is -(g+1)_m B(m+1, g+1) z^(-m-1), the
+    # complete beta integral; mpmath's beta referees the float one
+    mpmath = pytest.importorskip("mpmath")
+    for m in range(9):
+        p = ZernikeParams(m, 0, g)
+        for z in (1.0 + 0j, -1j, cmath.exp(1j), cmath.exp(-2.5j)):
+            assert z.real * z.real + z.imag * z.imag >= 1.0
+            v = cauchy_zernike_closed(p, z)
+            want = -pochhammer(g + 1, m) * incomplete_beta(m + 1, g + 1, 1.0) / z ** (m + 1)
+            assert abs(v - want) <= 1e-15 * abs(want), (m, z)
+            with mpmath.workdps(30):
+                exact = complex(-mpmath.rf(g + 1, m) * mpmath.beta(m + 1, g + 1)
+                                / mpmath.mpc(z) ** (m + 1))
+            assert abs(v - exact) <= 1e-13 * abs(exact), (m, z)
 
 
 def _quad_reference(m, n, g, z):
@@ -271,6 +310,18 @@ def test_zernike_quad_matches_high_precision(g):
         worst = max(normalized_deviation(cauchy_zernike_quad(p, z), r, s)
                     for z, r in zip(pts, ref))
         assert worst <= 1e-10, (m, n, worst)
+
+
+def test_quad_route_cancels_near_rim():
+    # at (1, 1), gamma = 5.5, z = 0.7 - 0.69i the quad route's two terms,
+    # about 0.7 in modulus, cancel to 2e-9 and leave it about 1e-6 off:
+    # there the closed route and the 2D oracle are the accurate ones
+    p = ZernikeParams(1, 1, 5.5)
+    z = 0.7 - 0.69j
+    ref = _quad_reference(1, 1, 5.5, z)
+    assert normalized_deviation(cauchy_zernike_closed(p, z), ref, 0.0) <= 1e-13
+    direct = cauchy_direct_2d(lambda w: eval_explicit(p, w), 5.5, z, 96, 192)
+    assert normalized_deviation(direct, ref, 0.0) <= 1e-7
 
 
 def test_z_zero_rules():
@@ -409,14 +460,14 @@ class TestClosedArrays:
             assert type(cauchy_zernike_closed(p, z)) is complex
 
     def test_any_bad_point_rejected(self):
-        p = ZernikeParams(2, 1, 0.5)
-        for pts in (self.PTS[:3] + [complex(math.nan, 0.0)],
-                    [complex(0.0, math.nan)] + self.PTS[:3],
-                    self.PTS[:3] + [0.6 + 0.9j],
-                    [1.001] + self.PTS[:3]):
-            for shape in ((4,), (2, 2)):
-                with pytest.raises(DomainError, match="disk"):
-                    cauchy_zernike_closed(p, np.array(pts).reshape(shape))
+        for p in (ZernikeParams(2, 1, 0.5), ZernikeParams(2, 0, 0.5)):
+            for pts in (self.PTS[:3] + [complex(math.nan, 0.0)],
+                        [complex(0.0, math.nan)] + self.PTS[:3],
+                        self.PTS[:3] + [0.6 + 0.9j],
+                        [1.001] + self.PTS[:3]):
+                for shape in ((4,), (2, 2)):
+                    with pytest.raises(DomainError, match="disk"):
+                        cauchy_zernike_closed(p, np.array(pts).reshape(shape))
 
     @staticmethod
     def _same_bits(a, b) -> bool:
@@ -453,6 +504,17 @@ class TestClosedArrays:
                     p = ZernikeParams(m, m + k, g)
                     assert self._same_bits(v, cauchy_zernike_closed(p, zs)), (p, s)
 
-    def test_n_zero_array_rejected(self):
-        with pytest.raises(NZeroError):
-            cauchy_zernike_closed(ZernikeParams(2, 0, 0.5), np.array(self.PTS))
+    def test_n_zero_array_elementwise(self):
+        # at n = 0 the array result is the scalar results, bit for bit, in
+        # the array's shape, the rim points included
+        zs = np.array(self.PTS)
+        for g in DEFAULT_GAMMAS:
+            for m in range(9):
+                p = ZernikeParams(m, 0, g)
+                want = [cauchy_zernike_closed(p, z) for z in self.PTS]
+                got = cauchy_zernike_closed(p, zs.reshape(4, 4))
+                assert got.shape == (4, 4) and got.dtype == complex
+                assert list(map(repr, got.ravel().tolist())) == list(map(repr, want)), (m, g)
+        assert cauchy_zernike_closed(p, np.zeros((0, 3), complex)).shape == (0, 3)
+        for z in (0.3 - 0.2j, 0.4, np.complex128(0.3 - 0.2j), np.array(0.3 - 0.2j)):
+            assert type(cauchy_zernike_closed(p, z)) is complex

@@ -674,11 +674,22 @@ class TestTable:
             main(["table", "--m", "1", "--n", "1", "--r-max", "1.0"])
         assert ei.value.code == 2
 
-    def test_refuses_boundary_cauchy_n0(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as ei:
-            main(["table", "--m", "1", "--n", "0", "--include-boundary",
-                  "--with-cauchy"])
-        assert ei.value.code == 2
+    def test_boundary_cauchy_n0(self, capsys, tmp_path):
+        # the n = 0 transform is finite on the rim, and each cell is the
+        # closed route's value at that point
+        out = tmp_path / "t.csv"
+        assert main(["table", "--m", "0:3", "--n", "0", "--gammas=-0.9,0.5",
+                     "--r-steps", "2", "--theta-steps", "8", "--include-boundary",
+                     "--with-cauchy", "--out", str(out)]) == 0
+        rows = _csv_rows(out)[1:]
+        assert len(rows) == 4 * 2 * 24
+        assert sum(r[3:5] == ["1", "0"] for r in rows) == 8
+        for r in rows:
+            cells = [float(c) for c in r[5:]]
+            assert all(map(math.isfinite, cells)), r
+            p = ZernikeParams(int(r[0]), 0, float(r[2]))
+            t = cauchy_zernike_closed(p, complex(float(r[3]), float(r[4])))
+            assert r[7:] == ["%.17g" % t.real, "%.17g" % t.imag], r
 
     def test_value_cells_match_explicit(self, capsys, tmp_path):
         # an independent referee for the value column, which now shares
@@ -826,10 +837,15 @@ class TestCauchyCmd:
         # non-terminating series route, so to rounding rather than exactly
         assert complex(float(re_s), float(im_s)) == pytest.approx(-0.5, rel=1e-12)
 
-    def test_n_zero_closed_exit_3(self, capsys):
-        assert main(["cauchy", "--gamma", "0", "--z", "0.5,0",
-                     "--m", "1", "--n", "0"]) == 3
-        assert capsys.readouterr().err.startswith("ERROR 3: ")
+    def test_n_zero_closed_prints_quad_digits(self, capsys):
+        out = {}
+        for route in ("closed", "quad"):
+            assert main(["cauchy", "--gamma", "0", "--z", "0.5,0", "--m", "1", "--n", "0",
+                         "--route", route]) == 0
+            label, digits = capsys.readouterr().out.split(", ", 1)
+            assert label == route
+            out[route] = digits
+        assert out["closed"] == out["quad"]
 
     def test_flag_conflicts_exit_2(self, capsys):
         with pytest.raises(SystemExit) as ei:

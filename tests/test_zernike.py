@@ -963,3 +963,20 @@ class TestHermite:
     def test_rho_guard(self):
         with pytest.raises(DomainError):
             hermite_limit_error(1, 1, 2.0 + 0j, 1.5)
+
+    @pytest.mark.parametrize("z", ["abc", "0.3", None, [0.3], np.array([0.3, 0.2]),
+                                   np.array("0.3")])
+    def test_bad_point_types_rejected(self, z):
+        with pytest.raises(DomainError, match="complex number"):
+            hermite(1, 1, z)
+        with pytest.raises(DomainError, match="complex number"):
+            hermite_limit_error(1, 1, z, 5.0)
+
+    def test_point_types_accepted(self):
+        # the point may lie anywhere in the plane; numbers of every kind
+        # and 0-d arrays give the complex point's value bit for bit
+        for z in (2.5, 2.5 + 0j, Fraction(5, 2), np.float32(2.5), np.complex128(2.5),
+                  np.array(2.5), np.int64(0)):
+            assert hermite(2, 1, z) == hermite(2, 1, complex(z)), z
+        assert hermite_limit_error(2, 1, np.complex128(0.7 + 0.3j), 10.0) \
+            == hermite_limit_error(2, 1, 0.7 + 0.3j, 10.0)
