@@ -295,7 +295,10 @@ def _beta_quad_check(a: float, b: float, x: float) -> float:
     is not enough for non-integer parameters.  The first dyadic slice near
     0 is summed by an exact series and the rest is covered by panels graded
     geometrically toward both ends, each handled by a 32-point rule; all
-    panels are evaluated together as one (panels x 32) array.
+    panels are evaluated together as one (panels x 32) array.  1 - t is
+    taken as (1 - lo) - s for the node t = lo + s of the panel starting at
+    lo, where 1 - lo is exact for lo >= 1/2: near the rim, 1 - t itself
+    would keep little more than the rounding error of t.
     """
     rule = gauss_legendre(32)
     half = 0.5 * (rule.nodes + 1)
@@ -305,14 +308,11 @@ def _beta_quad_check(a: float, b: float, x: float) -> float:
     # panels graded toward x as well; depth grows as x -> 1 so the last
     # panel stays short relative to its distance from the t=1 branch point
     depth = max(7, int(math.ceil(math.log2(max(x / (1 - x), 1.0)))) + 4)
-    left = x * 2.0 ** np.arange(-8.0, 0.0)                      # t0 .. x/2
-    right = x - (x / 2) * 2.0 ** -np.arange(1.0, depth + 1)
-    pts = np.concatenate((left, right, [x]))
-    lo, hi = pts[:-1], pts[1:]
-    keep = hi > lo
-    lo, width = lo[keep], (hi - lo)[keep]
-    t = lo[:, None] + width[:, None] * half
-    vals = t ** (a - 1) * (1 - t) ** (b - 1)
+    pts = ([x * 2.0**k for k in range(-8, 0)]                    # t0 .. x/2
+           + [x - (x / 2) * 2.0**-k for k in range(1, depth + 1)] + [x])
+    lo, width = map(np.array, zip(*[(p, q - p) for p, q in zip(pts, pts[1:]) if q > p]))
+    s = width[:, None] * half
+    vals = (lo[:, None] + s) ** (a - 1) * ((1 - lo)[:, None] - s) ** (b - 1)
     return head + float(width @ (vals @ rule.weights)) / 2
 
 

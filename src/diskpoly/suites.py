@@ -39,8 +39,7 @@ from .spectral import (
 )
 from .zernike import (
     ZernikeParams,
-    eval_contour,
-    eval_contour_adaptive,
+    contour_row,
     eval_explicit,
     eval_route,
     hermite,
@@ -75,6 +74,17 @@ def _grid(max_mn: int, gammas):
                 yield ZernikeParams(m, n, g), f"gamma={g:g} m={m} n={n}"
 
 
+def _contour_grid(max_mn: int, gammas, zs: np.ndarray, *rules):
+    """Yield (params, label, *contour values) over ``_grid``: the member's
+    contour value at zs, or its NonConvergentError, under each rule (None
+    for the adaptive rule, else a node count).  One ``contour_row`` per
+    (gamma, m) and rule serves the members n = 0..max_mn."""
+    for p, params in _grid(max_mn, gammas):
+        if p.n == 0:
+            rows = [contour_row(p.m, p.gamma, zs, max_mn, rule) for rule in rules]
+        yield p, params, *(row[p.n] for row in rows)
+
+
 def _reference(p: ZernikeParams, pts) -> tuple[list, float]:
     """Explicit-route values at the points, and their largest magnitude S."""
     ref = [eval_explicit(p, z) for z in pts]
@@ -86,14 +96,15 @@ def _reference(p: ZernikeParams, pts) -> tuple[list, float]:
 def suite_routes(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     pts = disk_points(seed, 6, 0.95)
     pts_contour = disk_points(seed + 1, 6, 0.8)
-    zs_contour = np.array(pts_contour)
     rows = []
-    for p, params in _grid(max_mn, gammas):
+    for p, params, contour in _contour_grid(max_mn, gammas, np.array(pts_contour), None):
         ref, s = _reference(p, pts + pts_contour)
         for route in ("gauss1", "gauss2", "jacobi", "rodrigues"):
             err = _worst([eval_route(p, z, route) for z in pts], ref[:len(pts)], s)
             rows.append(checked_row(f"{route}_vs_explicit", params, err, 1e-9))
-        err = _worst(eval_contour_adaptive(p, zs_contour).tolist(), ref[len(pts):], s)
+        if isinstance(contour, NonConvergentError):
+            raise contour
+        err = _worst(contour.tolist(), ref[len(pts):], s)
         rows.append(checked_row("contour_vs_explicit", params, err, 1e-9))
     return rows
 
@@ -124,15 +135,16 @@ def suite_orthogonality(max_mn: int, gammas, seed: int) -> list[ReportRow]:
 
 def suite_contour(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     pts = disk_points(seed + 2, 8, 0.8)
-    zs = np.array(pts)
     rows = []
-    for p, params in _grid(max_mn, gammas):
+    for p, params, adaptive, fixed in _contour_grid(max_mn, gammas, np.array(pts), None, 512):
         ref, s = _reference(p, pts)
-        try:
-            err = _worst(eval_contour_adaptive(p, zs).tolist(), ref, s)
-        except NonConvergentError:
+        if isinstance(adaptive, NonConvergentError):
             err = INFORMATIONAL
-        fixed = _worst(eval_contour(p, zs, 512).tolist(), ref, s)
+        else:
+            err = _worst(adaptive.tolist(), ref, s)
+        if isinstance(fixed, NonConvergentError):
+            raise fixed
+        fixed = _worst(fixed.tolist(), ref, s)
         rows.append(checked_row("contour_adaptive_vs_explicit", params, err, 1e-10))
         rows.append(checked_row("contour_fixed512_vs_explicit", params, fixed, 1e-9))
     return rows

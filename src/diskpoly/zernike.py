@@ -21,6 +21,11 @@ of the explicit sum from one kernel, ``_explicit_terms``, cached per
 as scaled integers from ``_scaled_terms``, and ``hermite`` reads only
 their integer parts, ``_signed_counts``.  None of the other five routes
 uses any of them.
+
+The contour route evaluates a row: ``contour_row`` takes every member
+n = 0..n_max at one (m, gamma) and one set of points in one set of
+passes, which build the summand's n-independent factors once, and
+``eval_contour`` and ``eval_contour_adaptive`` are its one-member case.
 """
 
 import math
@@ -47,6 +52,7 @@ __all__ = [
     "eval_rodrigues",
     "eval_contour",
     "eval_contour_adaptive",
+    "contour_row",
     "eval_route",
     "ROUTES",
     "rodrigues_expr",
@@ -317,9 +323,9 @@ _PASS_SIZE = 2**18
 # relative to the value, that ends its doubling.
 _START_NODES = 64
 _REL_TOL = 1e-10
-# Largest block, in summand entries, whose n-independent factors are
-# memoised: 8 points at 512 nodes, the suites' largest pass.
-_MEMO_ENTRIES = 2**12
+# Largest node count whose powers t^k are cached: 128 entries of at most
+# 2^12 complex128 values each hold at most 8 MiB.
+_POWER_NODES = 2**12
 
 
 @lru_cache(maxsize=32)
@@ -330,10 +336,20 @@ def _roots_of_unity(n_nodes: int) -> np.ndarray:
     return t
 
 
+@lru_cache(maxsize=128)
+def _node_powers(n_nodes: int, odd: bool, k: int) -> np.ndarray:
+    """t^k over the nodes t of the n_nodes rule, or over its odd half, as
+    a read-only array."""
+    t = _roots_of_unity(n_nodes)
+    tk = (t[1::2] if odd else t) ** k
+    tk.flags.writeable = False
+    return tk
+
+
 def _weight_factors(zc: np.ndarray, t: np.ndarray, e: float,
                     m: int) -> tuple[np.ndarray, np.ndarray]:
     """The summand's factors w^e, w = 1 - t conj(z), and (z - t)^(m+1)
-    for the column of points zc and the nodes t; see ``_contour_sum``."""
+    for the column of points zc and the nodes t; see ``_pass_sums``."""
     w = 1.0 - t * zc.conjugate()
     if e.is_integer():
         wpow = w ** e
@@ -347,40 +363,13 @@ def _weight_factors(zc: np.ndarray, t: np.ndarray, e: float,
     return wpow, (zc - t) ** (m + 1)
 
 
-@lru_cache(maxsize=16)
-def _memo_weight_factors(zb: bytes, tb: bytes, e: float,
-                         m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_weight_factors`` for the points and nodes whose complex128 bytes
-    are zb and tb, as read-only arrays."""
-    factors = _weight_factors(np.frombuffer(zb, complex)[:, None],
-                              np.frombuffer(tb, complex), e, m)
-    for a in factors:
-        a.flags.writeable = False
-    return factors
-
-
-def _contour_prefactors(p: ZernikeParams, zs: np.ndarray) -> np.ndarray:
-    """The prefactor -(gamma+m+1)_n m! u^-gamma at each point of the 1-D
-    array zs."""
-    m, n, g = p.m, p.n, p.gamma
-    c = -pochhammer(g + m + 1, n) * float(factorial(m))
-    prefs = []
-    for z in zs.tolist():
-        # u**-g in Python floats: numpy's SIMD float pow can differ
-        # from libm's in the last bit
-        try:
-            prefs.append(c * (1.0 - (z.real * z.real + z.imag * z.imag)) ** -g)
-        except OverflowError:
-            raise NonConvergentError(
-                f"contour prefactor overflows for (m={m}, n={n}, gamma={g:g}) "
-                f"at z={z!r}") from None
-    return np.array(prefs, float)
-
-
-def _contour_sum(p: ZernikeParams, zs: np.ndarray,
-                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums over the nodes t of the summand and of its modulus, one of each
-    per point of the 1-D array zs; the prefactor is left out.
+def _pass_sums(m: int, gamma: float, ns, zs: np.ndarray, n_nodes: int, odd: bool,
+               mods: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Node sums of the summand t^(n+1) w^e / (z - t)^(m+1), one row per
+    index n of ns and one column per point of the 1-D array zs, over the
+    nodes t of the n_nodes rule or, with ``odd``, over its odd half; with
+    ``mods``, also the sums of the summand's modulus.  The prefactor is
+    left out.
 
     The weight power w^e, w = 1 - t conj(z), e = gamma + m, is taken one of
     two ways.  For an integer e it is numpy's complex ``w ** e``, which
@@ -393,45 +382,36 @@ def _contour_sum(p: ZernikeParams, zs: np.ndarray,
     ``power``, ``arctan2``, ``cos`` and ``sin``, so reruns on one machine
     are byte-identical but the last bit may differ across CPUs.
 
-    The index n enters only through t^(n+1); w^e and (z - t)^(m+1) are
-    the same for every n, and the suites run n innermost over one set of
-    points and nodes.  So a block of at most _MEMO_ENTRIES summand
-    entries takes the two from an LRU memo of 16 entries, keyed by the
-    bytes of the block's points, the bytes of the nodes, e and m.  An
-    entry holds two factors of at most 2^12 complex128 values each and a
-    key of at most 2^12 + 1 more, so the memo holds at most about
-    16 x 3 x 2^12 x 16 B = 3 MB, keys included; larger blocks build
-    their factors and drop them.  The factors are built by the same
-    operations either way, so the memo changes no output bit.
+    The index n enters only through t^(n+1), so each block of points
+    builds w^e and (z - t)^(m+1) once and every n of ns reuses them, one
+    (points x nodes) array at a time.  t^(n+1) comes from ``_node_powers``,
+    which is cached up to _POWER_NODES nodes and rebuilt per block above.
+    A member's summand is the same product in the same order whatever
+    else ns holds, so its sums are the same bits in any row.
     """
-    m, n, e = p.m, p.n, p.gamma + p.m
-    tn = t ** (n + 1)
-    sums = np.empty(len(zs), complex)
-    mods = np.empty(len(zs))
+    t = _roots_of_unity(n_nodes)
+    if odd:
+        t = t[1::2]
+    power = _node_powers if n_nodes <= _POWER_NODES else _node_powers.__wrapped__
+    sums = np.empty((len(ns), len(zs)), complex)
+    moduli = np.empty((len(ns), len(zs))) if mods else None
     step = max(1, _PASS_SIZE // len(t))
     for i in range(0, len(zs), step):
-        zc = zs[i:i + step, None]
-        if zc.size * len(t) <= _MEMO_ENTRIES:
-            wpow, d = _memo_weight_factors(zc.tobytes(), t.tobytes(), e, m)
-        else:
-            wpow, d = _weight_factors(zc, t, e, m)
-        vals = tn * wpow / d
-        sums[i:i + step] = vals.sum(axis=1)
-        mods[i:i + step] = np.abs(vals).sum(axis=1)
-    return sums, mods
+        wpow, d = _weight_factors(zs[i:i + step, None], t, gamma + m, m)
+        for r, n in enumerate(ns):
+            vals = power(n_nodes, odd, n + 1) * wpow / d
+            np.add.reduce(vals, 1, out=sums[r, i:i + step])
+            if mods:
+                np.add.reduce(np.abs(vals), 1, out=moduli[r, i:i + step])
+    return sums, moduli
 
 
-def _pass_values(p: ZernikeParams, zs: np.ndarray, prefs: np.ndarray,
-                 sums: np.ndarray, n_nodes: int) -> np.ndarray:
-    """One pass's values prefs * (sums / n_nodes) at the points zs; raises
-    NonConvergentError at the first non-finite one in array order."""
-    values = prefs * (sums / n_nodes)
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise NonConvergentError(
-            f"contour pass at {n_nodes} nodes is not finite for (m={p.m}, "
-            f"n={p.n}, gamma={p.gamma:g}) at z={complex(zs[finite.argmin()])!r}")
-    return values
+def _check_nodes(n_nodes: int) -> int:
+    """Return the fixed rule's node count as an int in [16, MAX_NODES]."""
+    n_nodes = _check_count(n_nodes, 16, "contour node count")
+    if n_nodes > MAX_NODES:
+        raise DomainError(f"contour node count must be at most {MAX_NODES}, got {n_nodes}")
+    return n_nodes
 
 
 def _shaped(values: np.ndarray, z: complex | np.ndarray) -> complex | np.ndarray:
@@ -439,9 +419,119 @@ def _shaped(values: np.ndarray, z: complex | np.ndarray) -> complex | np.ndarray
     return values.reshape(z.shape) if isinstance(z, np.ndarray) else complex(values[0])
 
 
-# numpy's float errors are ignored once per call: an overflowing pass
-# shows as a non-finite value, which _pass_values rejects as one error
+# numpy's float errors are ignored once per row: an overflowing pass
+# shows as a non-finite value, which the row turns into its member's error
 @np.errstate(all="ignore")
+def _contour_row(m: int, gamma: float, ns, z: complex | np.ndarray,
+                 n_nodes: int | None) -> list:
+    """For each index n of ns, the contour value at the checked points z,
+    in z's shape, or the NonConvergentError of that member; the fixed
+    rule at n_nodes nodes, or the adaptive rule when n_nodes is None.
+
+    One set of passes serves every member.  Every (n, point) entry
+    doubles on its own, with the one-member rule's stopping test, so each
+    member's value and error are those of its one-member call.  A member
+    fails on the first of: its prefactor overflows, a pass has a
+    non-finite value at one of its points still moving (the first such
+    point in array order is named), or it is still moving at MAX_NODES;
+    the others go on.
+    """
+    zs = np.ravel(z)
+    errors = [None] * len(ns)
+
+    def fail(i, what, j):
+        errors[i] = NonConvergentError(f"contour {what} for (m={m}, n={ns[i]}, "
+                                       f"gamma={gamma:g}) at z={complex(zs[j])!r}")
+
+    def drop_non_finite(values, todo, rows, cols, nodes):
+        # each member with a non-finite value at a point it still moves on fails
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = todo & ~finite
+            for i in np.flatnonzero(bad.any(axis=1)):
+                fail(rows[i], f"pass at {nodes} nodes is not finite", cols[bad[i].argmax()])
+                todo[i] = False
+
+    # the prefactor -(gamma+m+1)_n m! u^-gamma; u**-gamma in Python floats,
+    # since numpy's SIMD float pow can differ from libm's in the last bit
+    upow = []
+    for j, w in enumerate(zs.tolist()):
+        try:
+            upow.append((1.0 - (w.real * w.real + w.imag * w.imag)) ** -gamma)
+        except OverflowError:
+            for i in range(len(ns)):
+                fail(i, "prefactor overflows", j)
+            return errors
+    c = [-pochhammer(gamma + m + 1, n) * float(factorial(m)) for n in ns]
+    prefs = np.array(c)[:, None] * np.array(upow, float)
+    rows, cols = np.arange(len(ns)), np.arange(zs.size)
+    todo = np.ones(prefs.shape, bool)  # the (n, point) entries still moving
+
+    first = _START_NODES if n_nodes is None else n_nodes
+    sums, mods = _pass_sums(m, gamma, ns, zs, first, False, n_nodes is None)
+    values = prefs * (sums / first)
+    drop_non_finite(values, todo, rows, cols, first)
+    if n_nodes is None:
+        n_nodes, last = first, values  # last: each entry's last pass, over rows x cols
+        while live := np.count_nonzero(todo):
+            if live < todo.size:  # drop the members and points that are done
+                keep_r, keep_c = todo.any(axis=1), todo.any(axis=0)
+                values[rows[:, None], cols] = last
+                rows, cols = rows[keep_r], cols[keep_c]
+                sel = np.flatnonzero(keep_r)[:, None], keep_c
+                todo, sums, mods, prefs, last = (
+                    todo[sel], sums[sel], mods[sel], prefs[sel], last[sel])
+            if 2 * n_nodes > MAX_NODES:
+                for i, j in zip(rows, todo.argmax(axis=1)):
+                    fail(i, f"rule still moving at {n_nodes} nodes", cols[j])
+                break
+            n_nodes *= 2
+            new_sums, new_mods = _pass_sums(m, gamma, [ns[i] for i in rows], zs[cols],
+                                            n_nodes, True, True)
+            sums += new_sums
+            mods += new_mods
+            cur = prefs * (sums / n_nodes)
+            drop_non_finite(cur, todo, rows, cols, n_nodes)
+            # np.hypot is libm's hypot, as Python's complex abs is; np.abs is not
+            d = cur - last
+            done = np.hypot(d.real, d.imag) <= np.maximum(
+                _REL_TOL * np.hypot(cur.real, cur.imag),
+                1e-13 * (np.abs(prefs) * (mods / n_nodes)))
+            np.copyto(last, cur, where=todo)
+            todo &= ~done
+        if last is not values:
+            values[rows[:, None], cols] = last
+    return [err or _shaped(v, z) for err, v in zip(errors, values)]
+
+
+def _member(row: list) -> complex | np.ndarray:
+    """The value of a one-member row; raises its error."""
+    (v,) = row
+    if isinstance(v, NonConvergentError):
+        raise v
+    return v
+
+
+def contour_row(m: int, gamma: float, z: complex | np.ndarray, n_max: int,
+                n_nodes: int | None = None) -> list:
+    """The contour route for every member n = 0..n_max of the row (m, gamma).
+
+    Entry n is what ``eval_contour_adaptive(ZernikeParams(m, n, gamma), z)``
+    returns, or with ``n_nodes`` what ``eval_contour`` at that node count
+    returns: the value, in z's shape, bit for bit.  Where that call would
+    raise NonConvergentError, entry n is that error, with the same message,
+    and the other members are unaffected.  Bad arguments raise DomainError.
+    The passes build the n-independent factors of the summand once for the
+    whole row.
+    """
+    m, n_max = _check_indices(m, n_max)
+    gamma = _check_weight(gamma)
+    z = _check_disk(z, strict=True, arrays=True)
+    if n_nodes is not None:
+        n_nodes = _check_nodes(n_nodes)
+    return _contour_row(m, gamma, range(n_max + 1), z, n_nodes)
+
+
 def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> complex | np.ndarray:
     """Boundary integral with a fixed number of trapezoid nodes.
 
@@ -453,19 +543,13 @@ def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> com
     z = 0.6885+0.5798i it is 7.7e16 + 1.3e17i for 708612.41 (ROADMAP
     items 2-3).
     ``z`` may be a scalar or an ndarray, as for ``eval_explicit``;
-    ``n_nodes`` lies in [16, MAX_NODES].
+    ``n_nodes`` lies in [16, MAX_NODES].  This is the one-member case of
+    ``contour_row``.
     """
     z = _check_disk(z, strict=True, arrays=True)
-    n_nodes = _check_count(n_nodes, 16, "contour node count")
-    if n_nodes > MAX_NODES:
-        raise DomainError(f"contour node count must be at most {MAX_NODES}, got {n_nodes}")
-    zs = np.ravel(z)
-    prefs = _contour_prefactors(p, zs)
-    sums, _ = _contour_sum(p, zs, _roots_of_unity(n_nodes))
-    return _shaped(_pass_values(p, zs, prefs, sums, n_nodes), z)
+    return _member(_contour_row(p.m, p.gamma, (p.n,), z, _check_nodes(n_nodes)))
 
 
-@np.errstate(all="ignore")
 def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
     """Double the trapezoid rule from 64 nodes until two passes agree to 1e-10.
 
@@ -477,34 +561,10 @@ def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray) -> complex 
     once its last two passes agree it is done, so it gets the value a
     scalar call would give.  No pass exceeds MAX_NODES nodes.  Raises
     NonConvergentError if a point is still moving at the last pass, or if
-    a pass is not finite.
+    a pass is not finite.  This is the one-member case of ``contour_row``.
     """
     z = _check_disk(z, strict=True, arrays=True)
-    n_nodes = _START_NODES
-    zs = np.ravel(z)
-    prefs = _contour_prefactors(p, zs)
-    sums, mods = _contour_sum(p, zs, _roots_of_unity(n_nodes))
-    values = _pass_values(p, zs, prefs, sums, n_nodes)  # each point's last pass
-    todo = np.arange(zs.size)  # the points still moving
-    while todo.size:
-        if 2 * n_nodes > MAX_NODES:
-            raise NonConvergentError(
-                f"contour rule still moving at {n_nodes} nodes for (m={p.m}, n={p.n}, "
-                f"gamma={p.gamma:g}) at z={complex(zs[todo[0]])!r}")
-        n_nodes *= 2
-        zt, pt = zs[todo], prefs[todo]
-        new_sums, new_mods = _contour_sum(p, zt, _roots_of_unity(n_nodes)[1::2])
-        sums += new_sums
-        mods += new_mods
-        cur = _pass_values(p, zt, pt, sums, n_nodes)
-        # np.hypot is libm's hypot, as Python's complex abs is; np.abs is not
-        d = cur - values[todo]
-        done = np.hypot(d.real, d.imag) <= np.maximum(
-            _REL_TOL * np.hypot(cur.real, cur.imag), 1e-13 * (np.abs(pt) * (mods / n_nodes)))
-        values[todo] = cur
-        keep = ~done
-        todo, sums, mods = todo[keep], sums[keep], mods[keep]
-    return _shaped(values, z)
+    return _member(_contour_row(p.m, p.gamma, (p.n,), z, None))
 
 
 # The point routes; "contour" is dispatched on its own, because it

@@ -29,7 +29,6 @@ from diskpoly import (
     eval_jacobi,
     jacobi_line,
     pochhammer,
-    zernike,
 )
 from diskpoly.cli import main
 from diskpoly.report import (
@@ -414,39 +413,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite, flags", [
         ("spectral", []),
-        # grids small enough that the contour memo still holds the first
-        # run's factors when the second run asks for them
+        # the second run in one process finds every cache warm
         ("contour", ["--max-mn", "1", "--gammas", "0.37"]),
         ("routes", ["--max-mn", "1", "--gammas", "0.37"]),
     ], ids=["spectral", "contour", "routes"])
     def test_byte_identical_reruns(self, capsys, tmp_path, suite, flags):
-        memo = zernike._memo_weight_factors
-        memo.cache_clear()
         paths = tmp_path / "a.json", tmp_path / "b.json"
-        builds = []
         for path in paths:
             main(["verify", "--suite", suite, *flags, "--seed", "7", "--out", str(path)])
-            builds.append(memo.cache_info().misses)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        if suite != "spectral":
-            # the second run is served wholly from the first run's entries
-            assert 0 < builds[0] == builds[1]
-
-    def test_contour_memo_serves_most_passes(self, monkeypatch):
-        # w^e and (z - t)^(m+1) do not depend on n, so most passes find
-        # them built; a key that wrongly held n would build them every pass
-        passes = []
-        real = zernike._contour_sum
-
-        def spy(p, zs, t):
-            passes.append(len(zs) * len(t))
-            return real(p, zs, t)
-
-        monkeypatch.setattr(zernike, "_contour_sum", spy)
-        zernike._memo_weight_factors.cache_clear()
-        run_suite("contour", 8)
-        assert max(passes) <= zernike._MEMO_ENTRIES
-        assert zernike._memo_weight_factors.cache_info().misses <= len(passes) / 4
 
     def test_csv_format(self, capsys, tmp_path):
         out = tmp_path / "rep.csv"
@@ -691,6 +666,20 @@ class TestTable:
             t = cauchy_zernike_closed(p, complex(float(r[3]), float(r[4])))
             assert r[7:] == ["%.17g" % t.real, "%.17g" % t.imag], r
 
+    def test_rim_ring_at_singular_weights(self, capsys, tmp_path):
+        # 7 of the 64 rim angles give |z|^2 = 1 - 2^-53, where the
+        # incomplete beta self-check once raised for gamma <= -0.5
+        out = tmp_path / "t.csv"
+        assert main(["table", "--m", "0:3", "--n", "0", "--gammas=-0.99,-0.9,-0.7,-0.5",
+                     "--r-steps", "1", "--theta-steps", "64", "--include-boundary",
+                     "--with-cauchy", "--out", str(out)]) == 0
+        rows = _csv_rows(out)[1:]
+        assert len(rows) == 4 * 4 * 2 * 64
+        for r in rows:
+            p = ZernikeParams(int(r[0]), 0, float(r[2]))
+            t = cauchy_zernike_closed(p, complex(float(r[3]), float(r[4])))
+            assert r[7:] == ["%.17g" % t.real, "%.17g" % t.imag], r
+
     def test_value_cells_match_explicit(self, capsys, tmp_path):
         # an independent referee for the value column, which now shares
         # its arithmetic with eval_jacobi: the explicit sum at m, n <= 8
@@ -845,6 +834,17 @@ class TestCauchyCmd:
             label, digits = capsys.readouterr().out.split(", ", 1)
             assert label == route
             out[route] = digits
+        assert out["closed"] == out["quad"]
+
+    def test_rim_point_quad_route(self, capsys):
+        # |z|^2 rounds to 1 - 2^-53 here; the quad route's incomplete beta
+        # self-check once raised at gamma = -0.5
+        z = "0.9569403357322088,0.29028467725446233"
+        out = {}
+        for route in ("closed", "quad"):
+            assert main(["cauchy", "--gamma", "-0.5", "--z", z, "--m", "0", "--n", "0",
+                         "--route", route]) == 0
+            out[route] = capsys.readouterr().out.split(", ", 1)[1]
         assert out["closed"] == out["quad"]
 
     def test_flag_conflicts_exit_2(self, capsys):

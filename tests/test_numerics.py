@@ -230,6 +230,20 @@ class TestIncompleteBeta:
             want = special.betainc(a, b, x) * special.beta(a, b)
             assert numerics._beta_quad_check(a, b, x) == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize("b", [0.01, 0.1, 0.3, 0.5])
+    def test_quadrature_check_at_the_rim(self, b):
+        # where 1 - x is a few ulps, 1 - t on the last panels is taken from
+        # x - t, not from t; at 1 - x = 2^-53 the check once disagreed with
+        # the closed form by 2e-10 (b = 0.5) and raised
+        mpmath = pytest.importorskip("mpmath")
+        for a in (1.0, 2.0, 4.5, 8.0):
+            for k in (53, 52, 50, 40, 30):
+                x = 1.0 - 2.0**-k
+                with mpmath.workdps(50):
+                    want = float(mpmath.betainc(a, b, 0, mpmath.mpf(x)))
+                assert numerics._beta_quad_check(a, b, x) == pytest.approx(want, rel=1e-13)
+                assert incomplete_beta(a, b, x) == pytest.approx(want, rel=1e-12)
+
     def test_self_check_is_live(self, monkeypatch):
         # a closed form off by 1e-8 relative must trip the 1e-10 check on
         # both the direct branch and the complement split (x > 1/2)

@@ -19,6 +19,7 @@ from diskpoly.zernike import (
     MAX_NODES,
     ROUTES,
     ZernikeParams,
+    contour_row,
     eval_contour,
     eval_contour_adaptive,
     eval_explicit,
@@ -37,6 +38,12 @@ from diskpoly.zernike import (
     rodrigues_expr,
     value_at_origin,
 )
+
+
+def _pass_nodes(n_nodes, odd):
+    """The nodes of one contour pass: the n_nodes rule, or its odd half."""
+    t = zernike._roots_of_unity(n_nodes)
+    return t[1::2] if odd else t
 
 
 def _rising(a, k):
@@ -437,13 +444,13 @@ class TestContourNodeCount:
 
     def test_no_pass_beyond_max_nodes(self, monkeypatch):
         counts = []
-        real = zernike._contour_sum
+        real = zernike._pass_sums
 
-        def spy(p, zs, t):
-            counts.append(len(t))
-            return real(p, zs, t)
+        def spy(m, g, ns, zs, n_nodes, odd, mods):
+            counts.append(len(_pass_nodes(n_nodes, odd)))
+            return real(m, g, ns, zs, n_nodes, odd, mods)
 
-        monkeypatch.setattr(zernike, "_contour_sum", spy)
+        monkeypatch.setattr(zernike, "_pass_sums", spy)
         monkeypatch.setattr(zernike, "MAX_NODES", 100)
         with pytest.raises(NonConvergentError, match="at 64 nodes"):
             eval_contour_adaptive(ZernikeParams(1, 1, 0.0), 0.97 + 0j)
@@ -458,13 +465,13 @@ class TestNestedDoubling:
 
     @staticmethod
     def _spy(monkeypatch, passes):
-        real = zernike._contour_sum
+        real = zernike._pass_sums
 
-        def spy(p, zs, t):
-            passes.append(t.tolist())
-            return real(p, zs, t)
+        def spy(m, g, ns, zs, n_nodes, odd, mods):
+            passes.append(_pass_nodes(n_nodes, odd).tolist())
+            return real(m, g, ns, zs, n_nodes, odd, mods)
 
-        monkeypatch.setattr(zernike, "_contour_sum", spy)
+        monkeypatch.setattr(zernike, "_pass_sums", spy)
 
     def test_even_nodes_are_the_halved_rule(self):
         for n_nodes in (16, 64, 100, 256, 4096, MAX_NODES // 2):
@@ -492,7 +499,7 @@ class TestNestedDoubling:
         # the two sums add the same terms in different orders, so they
         # differ by roundoff of the node sum: normalized by the summand's
         # L1 scale, which is what the adaptive rule's own floor uses
-        real = zernike._contour_sum
+        real = zernike._pass_sums
         passes = []
         self._spy(monkeypatch, passes)
         for g in DEFAULT_GAMMAS:
@@ -504,10 +511,10 @@ class TestNestedDoubling:
                         got = eval_contour_adaptive(p, z)
                         settled = sum(len(t) for t in passes)
                         want = eval_contour(p, z, settled)
-                        zs = np.array([z])
-                        pref = zernike._contour_prefactors(p, zs)[0]
-                        _, mods = real(p, zs, zernike._roots_of_unity(settled))
-                        l1 = abs(pref) * mods[0] / settled
+                        pref = pochhammer(g + m + 1, n) * math.factorial(m) * \
+                            (1.0 - (z.real * z.real + z.imag * z.imag)) ** -g
+                        _, mods = real(m, g, [n], np.array([z]), settled, False, True)
+                        l1 = abs(pref) * mods[0, 0] / settled
                         assert abs(got - want) <= 1e-14 * l1, (m, n, g, z)
 
 
@@ -615,6 +622,81 @@ class TestContourArrays:
             eval_contour_adaptive(p, 0.5)
 
 
+class TestContourRow:
+    """Each member of ``contour_row`` is its one-member call: the same value
+    bit for bit, or the same error."""
+
+    ROUTES_PTS = disk_points(DEFAULT_SEED + 1, 6, 0.8)  # the routes suite's contour points
+    CONTOUR_PTS = disk_points(DEFAULT_SEED + 2, 8, 0.8)  # the contour suite's points
+
+    @staticmethod
+    def _one_member(p, z, n_nodes):
+        try:
+            if n_nodes is None:
+                return eval_contour_adaptive(p, z)
+            return eval_contour(p, z, n_nodes)
+        except NonConvergentError as err:
+            return err
+
+    def _assert_row(self, m, g, z, n_max, n_nodes):
+        row = contour_row(m, g, z, n_max, n_nodes)
+        assert len(row) == n_max + 1
+        for n, got in enumerate(row):
+            want = self._one_member(ZernikeParams(m, n, g), z, n_nodes)
+            assert type(got) is type(want), (m, n, g, n_nodes)
+            if isinstance(want, NonConvergentError):
+                assert str(got) == str(want)
+            else:
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (m, n, g)
+        return row
+
+    @pytest.mark.parametrize("g", [*DEFAULT_GAMMAS, -0.9, 0.37, 5.5, 30.0])
+    def test_members_equal_one_member_calls(self, g):
+        for pts in (self.ROUTES_PTS, self.CONTOUR_PTS):
+            for m in range(9):
+                for n_nodes in (None, 512):
+                    self._assert_row(m, g, np.array(pts), 8, n_nodes)
+
+    def test_shapes(self):
+        for n_nodes in (None, 128):
+            self._assert_row(2, 0.5, 0.3 - 0.2j, 4, n_nodes)
+            self._assert_row(2, 0.5, np.array(self.CONTOUR_PTS).reshape(2, 4), 4, n_nodes)
+            row = self._assert_row(2, 0.5, np.zeros((0, 3), complex), 4, n_nodes)
+            assert all(v.shape == (0, 3) for v in row)
+
+    @pytest.mark.parametrize("n_nodes", [None, 64], ids=["adaptive", "fixed"])
+    def test_failing_members_keep_their_errors(self, n_nodes):
+        # At (64, n), gamma = 1000, a pass overflows at 0.3+0.2i from n = 9
+        # on and at 0.1 for the last members, at 0.2 from n = 42 on, and
+        # the prefactor overflows at 0.9 for every member
+        z = np.array([0.1, 0.3 + 0.2j])
+        row = self._assert_row(64, 1000.0, z, 64, n_nodes)
+        assert not isinstance(row[8], NonConvergentError)
+        assert str(row[9]).endswith("at z=(0.3+0.2j)") and "n=9," in str(row[9])
+        assert str(row[64]).endswith("at z=(0.1+0j)") and "n=64," in str(row[64])
+        # the members before the first failure are those of a shorter row
+        short = contour_row(64, 1000.0, z, 8, n_nodes)
+        assert [v.tobytes() for v in short] == [v.tobytes() for v in row[:9]]
+        row = self._assert_row(64, 1000.0, np.array([0.0, 0.05, 0.2, 0.1]), 64, n_nodes)
+        assert [isinstance(v, NonConvergentError) for v in row] == [False] * 42 + [True] * 23
+        row = self._assert_row(64, 1000.0, np.array([0.05, 0.9, 0.8]), 64, n_nodes)
+        assert all("prefactor overflows" in str(v) for v in row)
+
+    def test_still_moving_members(self, monkeypatch):
+        monkeypatch.setattr(zernike, "MAX_NODES", 128)
+        row = self._assert_row(1, 0.0, np.array(self.CONTOUR_PTS[:3] + [0.97]), 4, None)
+        assert all("still moving at 128 nodes" in str(v) for v in row)
+
+    @pytest.mark.parametrize("args", [
+        (-1, 0.5, 0.3, 2), (2, 0.5, 0.3, 65), (2, 0.5, 0.3, 1.5), (2, -1.0, 0.3, 2),
+        (2, 0.5, 1.0, 2), (2, 0.5, np.array([0.3, np.nan]), 2), (2, 0.5, "0.3", 2),
+        (2, 0.5, 0.3, 2, 8), (2, 0.5, 0.3, 2, MAX_NODES + 1), (2, 0.5, 0.3, 2, 64.5)])
+    def test_bad_arguments(self, args):
+        with pytest.raises(DomainError):
+            contour_row(*args)
+
+
 class TestContourKernel:
     """The node sum against the one-line summand that numpy evaluates with
     its complex pow: bit for bit where gamma + m is an integer, within a few
@@ -633,82 +715,62 @@ class TestContourKernel:
     @pytest.mark.parametrize("n_nodes", [64, 512])
     @pytest.mark.parametrize("g", [-0.9, -0.5, 0.0, 0.37, 1.0, 2.5, 30.5])
     def test_matches_pow_summand(self, g, n_nodes):
+        # one pass serves the row n = 0..8; each row of its sums is checked
         zs = np.array(self.PTS)
         t = zernike._roots_of_unity(n_nodes)
         for m in range(9):
+            sums, mods = zernike._pass_sums(m, g, range(9), zs, n_nodes, False, True)
             for n in range(9):
-                p = ZernikeParams(m, n, g)
-                sums, mods = zernike._contour_sum(p, zs, t)
-                want_sums, want_mods = self._pow_summand_sums(p, zs, t)
+                want_sums, want_mods = self._pow_summand_sums(ZernikeParams(m, n, g), zs, t)
                 e = g + m
                 if e.is_integer():
-                    assert sums.tobytes() == want_sums.tobytes(), (m, n, g)
-                    assert mods.tobytes() == want_mods.tobytes(), (m, n, g)
+                    assert sums[n].tobytes() == want_sums.tobytes(), (m, n, g)
+                    assert mods[n].tobytes() == want_mods.tobytes(), (m, n, g)
                 else:
                     tol = 64 * max(abs(e), 1) * 2.0**-52 * want_mods
-                    assert np.all(np.abs(sums - want_sums) <= tol), (m, n, g)
-                    assert np.all(np.abs(mods - want_mods) <= tol), (m, n, g)
+                    assert np.all(np.abs(sums[n] - want_sums) <= tol), (m, n, g)
+                    assert np.all(np.abs(mods[n] - want_mods) <= tol), (m, n, g)
 
-    def test_memo_is_bit_identical(self, monkeypatch):
-        # the sums from a warm memo, from a cleared one and with the memo
-        # bypassed; the odd nodes of 128 are a strided view
-        zs = np.array(self.PTS)
-        node_sets = (zernike._roots_of_unity(64), zernike._roots_of_unity(128)[1::2],
-                     zernike._roots_of_unity(512))
-
-        def all_sums():
-            return [zernike._contour_sum(ZernikeParams(m, n, g), zs, t)
-                    for g in (*DEFAULT_GAMMAS, -0.9, 0.37, 30.5)
-                    for t in node_sets for m in range(9) for n in range(9)]
-
-        def as_bytes(runs):
-            return [(sums.tobytes(), mods.tobytes()) for sums, mods in runs]
-
-        warm = as_bytes(all_sums())
-        zernike._memo_weight_factors.cache_clear()
-        cold = as_bytes(all_sums())
-        assert zernike._memo_weight_factors.cache_info().hits > 0
-        monkeypatch.setattr(zernike, "_MEMO_ENTRIES", 0)
-        bypassed = as_bytes(all_sums())
-        assert warm == cold == bypassed
-
-    def test_memo_sees_points_changed_in_place(self):
-        p = ZernikeParams(2, 1, 0.37)
-        t = zernike._roots_of_unity(64)
-        zs = np.array(self.PTS)
-        zernike._contour_sum(p, zs, t)
-        zs[3] = 0.5 - 0.25j
-        got, _ = zernike._contour_sum(p, zs, t)
-        zernike._memo_weight_factors.cache_clear()
-        want, _ = zernike._contour_sum(p, zs, t)
-        assert got.tobytes() == want.tobytes()
-
-    def test_memo_factors_read_only(self):
-        zs = np.array(self.PTS)
-        t = zernike._roots_of_unity(64)
-        for e in (2.0, 2.37):
-            for factor in zernike._memo_weight_factors(zs.tobytes(), t.tobytes(), e, 2):
-                with pytest.raises(ValueError, match="read-only"):
-                    factor[0, 0] = 0
-
-    def test_large_block_bypasses_memo(self, monkeypatch):
-        # 32 points at 512 nodes is above the memo's entry bound; in blocks
-        # of 2 points it goes through the memo, with the same bytes
-        p = ZernikeParams(3, 2, 0.37)
+    def test_row_sums_independent_of_row_and_blocks(self, monkeypatch):
+        # a member's sums are the same bytes alone, in a row, without the
+        # moduli, and in blocks of two points at 512 nodes; the odd nodes
+        # of 128 are a strided view
         zs = np.array(disk_points(DEFAULT_SEED, 32, 0.8))
-        t = zernike._roots_of_unity(512)
-        assert zs.size * t.size > zernike._MEMO_ENTRIES
-        before = zernike._memo_weight_factors.cache_info()
-        whole = zernike._contour_sum(p, zs, t)
-        after = zernike._memo_weight_factors.cache_info()
-        assert (after.currsize, after.misses, after.hits) == \
-            (before.currsize, before.misses, before.hits)
+        passes = [(m, g, n_nodes, odd) for g in (-0.9, 0.37, 2.0) for m in (0, 3)
+                  for n_nodes, odd in ((64, False), (128, True), (512, False))]
+
+        def member_sums():
+            out = []
+            for m, g, n_nodes, odd in passes:
+                row = zernike._pass_sums(m, g, (0, 1, 2, 5, 8), zs, n_nodes, odd, True)
+                alone = zernike._pass_sums(m, g, (5,), zs, n_nodes, odd, True)
+                sums, mods = zernike._pass_sums(m, g, (5,), zs, n_nodes, odd, False)
+                assert mods is None
+                assert row[0][3].tobytes() == alone[0][0].tobytes() == sums[0].tobytes()
+                assert row[1][3].tobytes() == alone[1][0].tobytes()
+                out.append(alone[0].tobytes() + alone[1].tobytes())
+            return out
+
+        whole = member_sums()
         monkeypatch.setattr(zernike, "_PASS_SIZE", 1024)
-        zernike._memo_weight_factors.cache_clear()
-        blocked = zernike._contour_sum(p, zs, t)
-        assert zernike._memo_weight_factors.cache_info().currsize == 16
-        for a, b in zip(whole, blocked):
-            assert a.tobytes() == b.tobytes()
+        assert member_sums() == whole
+
+    def test_node_powers_read_only(self):
+        for odd in (False, True):
+            tk = zernike._node_powers(128, odd, 3)
+            assert tk.tobytes() == (_pass_nodes(128, odd) ** 3).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                tk[0] = 0
+
+    def test_powers_beyond_cache_bound_equal(self, monkeypatch):
+        # above _POWER_NODES the powers are rebuilt per block, not cached
+        p = ZernikeParams(2, 3, 0.37)
+        zs = np.array(self.PTS[:3])
+        want = eval_contour(p, zs, 1024)
+        monkeypatch.setattr(zernike, "_POWER_NODES", 512)
+        zernike._node_powers.cache_clear()
+        assert eval_contour(p, zs, 1024).tobytes() == want.tobytes()
+        assert zernike._node_powers.cache_info().currsize == 0
 
 
 class TestRodriguesExpr:
