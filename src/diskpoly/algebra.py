@@ -21,6 +21,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import DomainError, OffsetMismatchError, TooLargeError
+from .numerics import _check_point
 
 __all__ = [
     "DiskExpr",
@@ -215,9 +216,10 @@ def d_zbar(e: DiskExpr) -> DiskExpr:
 
 
 def eval_expr(e: DiskExpr, z: complex) -> complex:
-    """Evaluate at a point.  u <= 0 is allowed only where the exponents
-    stay safe (nonnegative at u = 0, integer for u < 0)."""
-    z = complex(z)
+    """Evaluate at a point, taken as ``numerics._check_point`` takes it.
+    u <= 0 is allowed only where the exponents stay safe (nonnegative at
+    u = 0, integer for u < 0)."""
+    z = _check_point(z)
     u = 1.0 - (z.real * z.real + z.imag * z.imag)
     zb = z.conjugate()
     g = e.base_offset

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import _check_count, _check_weight, gauss_legendre, hyp2f1, incomplete_beta
-from .zernike import ZernikeParams, _check_disk, _explicit_terms, jacobi_line
+from .zernike import INDEX_CAP, ZernikeParams, _check_disk, _explicit_terms, jacobi_line
 
 __all__ = [
     "cauchy_monomial_closed",
@@ -88,31 +88,34 @@ def cauchy_monomial_2f1(p: int, q: int, k: int, gamma: float, z: complex) -> com
     return -z ** q * z.conjugate() ** (p + 1) / (p + 1) * u ** (gamma + 1 + k) * f
 
 
-def cauchy_closed_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int):
-    """Yield the closed-form transform of every member (m, n) with n >= 1
-    on the charge line n - m = k, for s = min(m, n-1) = 0, 1, ..., s_max.
+def cauchy_closed_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int,
+                       s_min: int = 0):
+    """Yield the closed-form transform of the members (m, n) with n >= 1
+    on the charge line n - m = k, for s = min(m, n-1) = s_min, ..., s_max.
 
     The transform of (m, n) at gamma is u^(gamma+1) times the member at
     (m, n-1) for weight exponent gamma+1, which lies on the line k - 1 at
     the same s: so the line is u^(gamma+1) times
-    ``zernike.jacobi_line(k - 1, gamma + 1, z, s_max)``, and between two
-    members it holds that line's state and the weight.  ``z`` may be a
-    scalar or an ndarray of points in the closed disk.
+    ``zernike.jacobi_line(k - 1, gamma + 1, z, s_max, s_min)``, and
+    between two members it holds that line's state and the weight.  ``z``
+    may be a scalar or an ndarray of points in the closed disk; k is
+    checked as an integer before the line is shifted.
     """
+    k = _check_count(k, 1 - INDEX_CAP, "line charge k")
     gamma = _check_weight(gamma)
     z = _check_disk(z, arrays=True)
     u = 1.0 - (z.real * z.real + z.imag * z.imag)
     u = np.maximum(u, 0.0) if isinstance(z, np.ndarray) else max(u, 0.0)
     weight = u ** (gamma + 1.0)
-    for v in jacobi_line(k - 1, gamma + 1.0, z, s_max):
+    for v in jacobi_line(k - 1, gamma + 1.0, z, s_max, s_min):
         yield weight * v
 
 
 def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
     """Closed form on the polynomial family: u^(gamma+1) times the member
-    at (m, n-1) for weight exponent gamma+1, the last transform of
-    ``cauchy_closed_line`` up to (m, n).  At n = 0 it is the member's one
-    explicit term, -(gamma+1)_m B_{|z|^2}(m+1, gamma+1) z^(-m-1), through
+    at (m, n-1) for weight exponent gamma+1, the one-member line at
+    s = min(m, n-1).  At n = 0 it is the member's one explicit term,
+    -(gamma+1)_m B_{|z|^2}(m+1, gamma+1) z^(-m-1), through
     ``cauchy_monomial_closed`` point by point, as ``cauchy_zernike_quad``.
 
     ``z`` may be a scalar, which gives a Python complex, or an ndarray of
@@ -124,9 +127,8 @@ def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex 
         one = lambda w: 0 + c * cauchy_monomial_closed(p.m, 0, 0, p.gamma, w)
         z = _check_disk(z, arrays=True)
         return np.vectorize(one, otypes=[complex])(z) if isinstance(z, np.ndarray) else one(z)
-    for v in cauchy_closed_line(p.n - p.m, p.gamma, z, min(p.m, p.n - 1)):
-        pass
-    return v
+    s = min(p.m, p.n - 1)
+    return next(cauchy_closed_line(p.n - p.m, p.gamma, z, s, s))
 
 
 def cauchy_zernike_quad(p: ZernikeParams, z: complex) -> complex:

@@ -126,20 +126,17 @@ def cmd_verify(ns) -> int:
 _ROW_SHAPES = {"csv": ("", ",", "\r\n", ""), "json": ("    [", ", ", "]", ",\n")}
 
 
-def _line_member(lines: dict, key, start, s: int, last: bool):
-    """Member s of the charge line kept under ``key`` in ``lines``.
+def _line_member(lines: dict, key, start, last: bool):
+    """The next member of the charge line kept under ``key`` in ``lines``.
 
-    ``start()`` begins the line at s = 0 the first time, and the members
-    below s are passed over; after that each call takes the next member,
-    since s rises by one per block along a line.  A line is dropped after
-    its ``last`` member, so only live lines keep their recurrence state.
+    ``start()`` begins the line at its first block's member the first
+    time; after that each call takes the next member, since s rises by one
+    per block along a line.  A line is dropped after its ``last`` member,
+    so only live lines keep their recurrence state.
     """
-    line = lines.get(key)
-    if line is None:
-        line = lines[key] = start()
-        for _ in range(s):
-            next(line)
-    v = next(line)
+    if key not in lines:
+        lines[key] = start()
+    v = next(lines[key])
     if last:
         del lines[key]
     return v
@@ -156,8 +153,9 @@ def _table_blocks(ns, params, n_gammas, points, start, sep, end, joiner):
     ``zernike.jacobi_line`` and equals ``eval_jacobi``, and its transform
     column from ``cauchy.cauchy_closed_line`` and equals
     ``cauchy_zernike_closed``, bit for bit.  Along a line m rises by one
-    per block, so each line holds only its running recurrence state
-    between blocks, and is dropped after its last block.  An n = 0 block
+    per block, so each line starts at its first block's member, holds
+    only its running recurrence state between blocks, and is dropped
+    after its last block.  An n = 0 block
     takes its transform column from ``cauchy_zernike_closed``, point by
     point, and only once its value column is finite.  The point cells are
     formatted once, and a block's text is one "%" call that fills its
@@ -179,17 +177,17 @@ def _table_blocks(ns, params, n_gammas, points, start, sep, end, joiner):
         m_last = last_m[k]
         last = p.m == m_last
         with np.errstate(all="ignore"):
-            cols = [_line_member(lines, ("value", at, k),
-                                 lambda: jacobi_line(k, g, zs, min(m_last, m_last + k)),
-                                 min(p.m, p.n), last)]
+            cols = [_line_member(
+                lines, ("value", at, k),
+                lambda: jacobi_line(k, g, zs, min(m_last, m_last + k), min(p.m, p.n)), last)]
             if ns.with_cauchy and p.n == 0:
                 if np.isfinite(cols[0]).all():
                     cols.append(cauchy_zernike_closed(p, zs))
             elif ns.with_cauchy:
                 cols.append(_line_member(
                     lines, ("transform", at, k),
-                    lambda: cauchy_closed_line(k, g, zs, min(m_last, m_last + k - 1)),
-                    min(p.m, p.n - 1), last))
+                    lambda: cauchy_closed_line(k, g, zs, min(m_last, m_last + k - 1),
+                                               min(p.m, p.n - 1)), last))
         if not all(np.isfinite(c).all() for c in cols):
             for row in zip(*cols):
                 for v in row:

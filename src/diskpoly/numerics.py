@@ -43,11 +43,15 @@ _HYP2F1_MAX_TERMS = 10**6
 
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1, as a
-    float; k is an integer >= 0 (anything ``operator.index`` takes)."""
+    float; k is an integer >= 0 (anything ``operator.index`` takes), and a
+    base a that is not a number raises DomainError unless k = 0."""
     k = _check_count(k, 0, "pochhammer order k")
     r = 1.0
-    for i in range(k):
-        r *= a + i
+    try:
+        for i in range(k):
+            r *= a + i
+    except TypeError:  # caught, not checked up front: this loop is hot
+        raise DomainError(f"pochhammer base must be a number, got {a!r}") from None
     return r
 
 
@@ -66,6 +70,23 @@ def _check_real(x, what: str) -> float:
     if not math.isfinite(v):
         raise DomainError(f"{what} must be finite, got {x!r}")
     return v
+
+
+def _check_point(z: complex, arrays: bool = False) -> complex | np.ndarray:
+    """Coerce z to complex; raise DomainError unless it is a
+    ``numbers.Complex`` (numpy's included) or a numeric 0-d array.  With
+    ``arrays`` set, a numeric ndarray of any nonzero rank is coerced to a
+    complex array instead.  An int too large for a float is inf."""
+    # complex and float first: the ABC check is slower
+    if type(z) in (complex, float) or isinstance(z, numbers.Complex) or (
+            isinstance(z, np.ndarray) and not z.ndim and z.dtype.kind in "biufc"):
+        try:
+            return complex(z)
+        except OverflowError:  # an int too large for a float
+            return complex(math.inf)
+    if arrays and isinstance(z, np.ndarray) and z.dtype.kind in "biufc":
+        return np.asarray(z, complex)
+    raise DomainError(f"point must be a complex number, got {type(z).__name__}")
 
 
 def _check_weight(g: float) -> float:
@@ -122,9 +143,13 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     before the series terminates, NonConvergentError for a terminating sum
     whose terms or total overflow, and for a non-terminating call with
     |x| >= 1 or one exceeding ``_HYP2F1_MAX_TERMS`` terms, and DomainError
-    for a parameter or argument that is inf or NaN.
+    for a parameter or argument that is not a real number, inf or NaN.
     """
-    if not all(map(math.isfinite, (a, b, c, x))):
+    try:  # caught, not checked up front: this is called thousands of times a pass
+        finite = all(map(math.isfinite, (a, b, c, x)))
+    except TypeError:
+        finite = False
+    if not finite:
         raise DomainError(f"hyp2f1 needs finite a, b, c and x, got ({a!r}, {b!r}, {c!r}, {x!r})")
     ka = _nonpos_int(a)
     kb = _nonpos_int(b)
@@ -176,11 +201,15 @@ def jacobi_p(n: int, alpha: float, beta: float, x: float) -> float:
     recurrence's ladder, ``_jacobi_ladder``.
 
     Valid for finite alpha, beta > -1, where the recurrence denominators
-    stay positive for every n.
+    stay positive for every n.  x is a finite real number or a float
+    ndarray.
     """
     n = _check_count(n, 0, "jacobi_p degree n")
-    if not (math.isfinite(alpha) and math.isfinite(beta) and alpha > -1 and beta > -1):
+    if not (_check_real(alpha, "jacobi_p alpha") > -1
+            and _check_real(beta, "jacobi_p beta") > -1):
         raise DomainError(f"jacobi_p needs finite alpha, beta > -1, got ({alpha}, {beta})")
+    if not isinstance(x, np.ndarray):
+        x = _check_real(x, "jacobi_p argument x")
     return next(islice(_jacobi_ladder(alpha, beta, x), n, None))
 
 
@@ -336,12 +365,17 @@ def incomplete_beta(a: float, b: float, x: float) -> float:
     integral; disagreement beyond ``_BETA_CHECK_TOL`` (relative) raises
     NonConvergentError since it signals a defect in one of the routes.
     The check runs once per distinct argument: results are memoised.
-    Needs finite a > 0 and b > -1 (b > 0 when x = 1).
+    Needs real a, b and x, with finite a > 0 and b > -1 (b > 0 when
+    x = 1).
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"exponent parameters must be finite, got ({a}, {b})")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
+    try:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"exponent parameters must be finite, got ({a}, {b})")
+        if not 0.0 <= x <= 1.0:
+            raise DomainError(f"x must lie in [0, 1], got {x}")
+    except TypeError:
+        raise DomainError(
+            f"incomplete_beta needs real a, b and x, got ({a!r}, {b!r}, {x!r})") from None
     if a <= 0:
         raise DomainError(f"first exponent parameter must be positive, got {a}")
     if x == 0.0:

@@ -22,17 +22,17 @@ as scaled integers from ``_scaled_terms``, and ``hermite`` reads only
 their integer parts, ``_signed_counts``.  None of the other five routes
 uses any of them.
 
-The contour route evaluates a row: ``contour_row`` takes every member
-n = 0..n_max at one (m, gamma) and one set of points in one set of
-passes, which build the summand's n-independent factors once, and
-``eval_contour`` and ``eval_contour_adaptive`` are its one-member case.
+The contour route evaluates a row, every n = 0..n_max at one (m, gamma)
+(``contour_row``), and the jacobi route a charge line n - m = k from one
+recurrence (``jacobi_line``); ``eval_contour``, ``eval_contour_adaptive``
+and ``eval_jacobi`` are their one-member cases.
 """
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb, factorial
 
 import numpy as np
@@ -40,7 +40,8 @@ import numpy as np
 from . import algebra
 from .algebra import DiskExpr
 from .errors import DomainError, NonConvergentError, ParamMismatchError
-from .numerics import _check_count, _check_weight, _jacobi_ladder, hyp2f1, pochhammer
+from .numerics import (_check_count, _check_point, _check_real, _check_weight, _jacobi_ladder,
+                       hyp2f1, pochhammer)
 
 __all__ = [
     "ZernikeParams",
@@ -93,23 +94,6 @@ def _check_indices(m: int, n: int) -> tuple[int, int]:
     if not (0 <= m <= INDEX_CAP and 0 <= n <= INDEX_CAP):
         raise DomainError(f"indices must lie in [0, {INDEX_CAP}], got ({m}, {n})")
     return m, n
-
-
-def _check_point(z: complex, arrays: bool = False) -> complex | np.ndarray:
-    """Coerce z to complex; raise DomainError unless it is a
-    ``numbers.Complex`` (numpy's included) or a numeric 0-d array.  With
-    ``arrays`` set, a numeric ndarray of any nonzero rank is coerced to a
-    complex array instead.  An int too large for a float is inf."""
-    # complex and float first: the ABC check is slower
-    if type(z) in (complex, float) or isinstance(z, numbers.Complex) or (
-            isinstance(z, np.ndarray) and not z.ndim and z.dtype.kind in "biufc"):
-        try:
-            return complex(z)
-        except OverflowError:  # an int too large for a float
-            return complex(math.inf)
-    if arrays and isinstance(z, np.ndarray) and z.dtype.kind in "biufc":
-        return np.asarray(z, complex)
-    raise DomainError(f"point must be a complex number, got {type(z).__name__}")
 
 
 def _check_disk(z: complex, strict: bool = False,
@@ -208,46 +192,45 @@ def eval_jacobi(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarr
     (-1)^s s! (gamma+s+1)_l with s = min(m,n), l = max(m,n); the
     one-sided variant (gamma+m+1)_n holds only for m <= n.  ``z`` may be
     a scalar or an ndarray, as for ``eval_explicit``.  The value is the
-    last member of ``jacobi_line`` up to (m, n).
+    one-member ``jacobi_line`` at s = min(m, n).
     """
-    for v in jacobi_line(p.n - p.m, p.gamma, z, min(p.m, p.n)):
-        pass
-    return v
+    s = min(p.m, p.n)
+    return next(jacobi_line(p.n - p.m, p.gamma, z, s, s))
 
 
-@lru_cache(maxsize=4096)
 def _jacobi_prefactor(s: int, k: int, g: float) -> float:
-    """(-1)^s s! (g+s+1)_l with l = s + |k|, the member's prefactor;
-    cached, since ``eval_jacobi`` takes every prefactor of its line."""
+    """(-1)^s s! (g+s+1)_l with l = s + |k|, the prefactor of member s on
+    the charge line k."""
     return float((-1) ** s * factorial(s)) * pochhammer(g + s + 1, s + abs(k))
 
 
-def _angular(z: complex | np.ndarray, k: int) -> complex | np.ndarray:
-    """The angular factor z^k, or conj(z)^-k when k < 0."""
-    return z ** k if k >= 0 else z.conjugate() ** -k
-
-
-def jacobi_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int):
-    """Yield every member on the charge line n - m = k at z, for
-    s = min(m, n) = 0, 1, ..., s_max, so the member (m, n) comes at
+def jacobi_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int,
+                s_min: int = 0):
+    """Yield the members on the charge line n - m = k at z, for
+    s = min(m, n) = s_min..s_max, so the member (m, n) comes at
     s = m + min(k, 0).
 
     One ladder of the Jacobi recurrence at x = 1 - 2|z|^2 and one angular
-    factor serve the whole line, and each member is the prefactor times
-    the angular factor times the ladder rung; ``eval_jacobi`` is the last
-    member of the line up to its indices.  Between two members the
-    generator holds x, the recurrence's last two rungs and the angular
-    factor.  ``z`` may be a scalar or an ndarray, as for
-    ``eval_explicit``; the line's indices are checked against INDEX_CAP
-    before the first member.
+    factor, z^k or conj(z)^-k, serve the whole line, which climbs the
+    rungs below s_min without forming their members.  Each member is the
+    prefactor times the angular factor times the rung, the same bits
+    whatever s_min is.  Between two members the generator holds x, the
+    last two rungs and the angular factor.  ``z`` may be a scalar or an
+    ndarray, as for ``eval_explicit``.  Before the first member k, s_min
+    and s_max are checked as integers, s_min >= 0, and the line's indices
+    against INDEX_CAP; a line with s_min > s_max has no members.
     """
-    _check_indices(max(-k, 0) + s_max, max(k, 0) + s_max)
+    k = _check_count(k, -INDEX_CAP, "line charge k")
+    s_min, s_max = _check_indices(s_min, s_max)
+    if s_max + abs(k) > INDEX_CAP:
+        raise DomainError(f"indices must lie in [0, {INDEX_CAP}], got "
+                          f"({max(-k, 0) + s_max}, {max(k, 0) + s_max})")
     gamma = _check_weight(gamma)
     z = _check_disk(z, arrays=True)
-    ang = _angular(z, k)
+    ang = z ** k if k >= 0 else z.conjugate() ** -k
     ladder = _jacobi_ladder(abs(k), gamma, 1.0 - 2.0 * (z.real * z.real + z.imag * z.imag))
-    for s in range(s_max + 1):
-        yield _jacobi_prefactor(s, k, gamma) * ang * next(ladder)
+    for s, rung in zip(range(s_min, s_max + 1), islice(ladder, s_min, None)):
+        yield _jacobi_prefactor(s, k, gamma) * ang * rung
 
 
 @lru_cache(maxsize=1024)
@@ -346,23 +329,6 @@ def _node_powers(n_nodes: int, odd: bool, k: int) -> np.ndarray:
     return tk
 
 
-def _weight_factors(zc: np.ndarray, t: np.ndarray, e: float,
-                    m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The summand's factors w^e, w = 1 - t conj(z), and (z - t)^(m+1)
-    for the column of points zc and the nodes t; see ``_pass_sums``."""
-    w = 1.0 - t * zc.conjugate()
-    if e.is_integer():
-        wpow = w ** e
-    else:
-        # setting the two parts in place is cheaper than r * np.exp(1j * arg)
-        r = np.abs(w) ** e
-        arg = e * np.arctan2(w.imag, w.real)
-        wpow = np.empty_like(w)
-        wpow.real = r * np.cos(arg)
-        wpow.imag = r * np.sin(arg)
-    return wpow, (zc - t) ** (m + 1)
-
-
 def _pass_sums(m: int, gamma: float, ns, zs: np.ndarray, n_nodes: int, odd: bool,
                mods: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Node sums of the summand t^(n+1) w^e / (z - t)^(m+1), one row per
@@ -395,9 +361,21 @@ def _pass_sums(m: int, gamma: float, ns, zs: np.ndarray, n_nodes: int, odd: bool
     power = _node_powers if n_nodes <= _POWER_NODES else _node_powers.__wrapped__
     sums = np.empty((len(ns), len(zs)), complex)
     moduli = np.empty((len(ns), len(zs))) if mods else None
+    e = gamma + m
     step = max(1, _PASS_SIZE // len(t))
     for i in range(0, len(zs), step):
-        wpow, d = _weight_factors(zs[i:i + step, None], t, gamma + m, m)
+        zc = zs[i:i + step, None]
+        w = 1.0 - t * zc.conjugate()
+        if e.is_integer():
+            wpow = w ** e
+        else:
+            # setting the two parts in place is cheaper than rad * np.exp(1j * arg)
+            rad = np.abs(w) ** e
+            arg = e * np.arctan2(w.imag, w.real)
+            wpow = np.empty_like(w)
+            wpow.real = rad * np.cos(arg)
+            wpow.imag = rad * np.sin(arg)
+        d = (zc - t) ** (m + 1)
         for r, n in enumerate(ns):
             vals = power(n_nodes, odd, n + 1) * wpow / d
             np.add.reduce(vals, 1, out=sums[r, i:i + step])
@@ -672,13 +650,18 @@ def norm_squared(p: ZernikeParams) -> float:
 
 
 def hermite(m: int, n: int, z: complex) -> complex:
-    """Complex Hermite polynomial with the same double-sum shape."""
+    """Complex Hermite polynomial with the same double-sum shape.  Raises
+    NonConvergentError where a power of z overflows."""
     m, n = _check_indices(m, n)
     z = _check_point(z)
     zb = z.conjugate()
     acc = 0j
-    for j, c in _signed_counts(m, n):
-        acc += float(c) * zb ** (m - j) * z ** (n - j)
+    try:
+        for j, c in _signed_counts(m, n):
+            acc += float(c) * zb ** (m - j) * z ** (n - j)
+    except OverflowError:
+        raise NonConvergentError(f"Hermite term overflows for (m={m}, n={n}) "
+                                 f"at z={z!r}") from None
     return acc
 
 
@@ -690,6 +673,7 @@ def hermite_limit_error(m: int, n: int, z: complex, rho: float) -> float:
     the return value is the absolute deviation at this rho.
     """
     z = _check_point(z)
+    rho = _check_real(rho, "rho")
     if rho <= abs(z):
         raise DomainError("need rho > |z| so the shrunk argument stays in the disk")
     p = ZernikeParams(m, n, rho * rho)

@@ -493,7 +493,8 @@ class TestClosedArrays:
                 assert self._same_bits(cauchy_zernike_closed(p, z), want), (m, n)
 
     def test_closed_line_members(self):
-        # the member (m, n) of the line n - m = k comes at s = min(m, n - 1)
+        # the member (m, n) of the line n - m = k comes at s = min(m, n - 1);
+        # a line started at s_min is the full line's members from s_min on
         zs = np.array(self.PTS)
         for g in (-0.5, 2.5):
             for k in (-5, 0, 1, 6):
@@ -503,6 +504,11 @@ class TestClosedArrays:
                     m = s - min(k - 1, 0)
                     p = ZernikeParams(m, m + k, g)
                     assert self._same_bits(v, cauchy_zernike_closed(p, zs)), (p, s)
+                for s_min in (1, 3, 7):
+                    tail = list(cauchy_closed_line(k, g, zs, 7, s_min))
+                    assert len(tail) == 8 - s_min
+                    for s, v in enumerate(tail, s_min):
+                        assert self._same_bits(v, line[s]), (k, s_min, s)
 
     def test_n_zero_array_elementwise(self):
         # at n = 0 the array result is the scalar results, bit for bit, in

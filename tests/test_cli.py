@@ -552,11 +552,11 @@ class TestTable:
         out = tmp_path / "t.csv"
         calls = []
 
-        def flaky(k, g, z, s_max):
+        def flaky(k, g, z, s_max, s_min):
             calls.append(z)
             if len(calls) == 3:
                 raise NonConvergentError("injected")
-            return jacobi_line(k, g, z, s_max)
+            return jacobi_line(k, g, z, s_max, s_min)
 
         monkeypatch.setattr(cli, "jacobi_line", flaky)
         # one call per charge line, and each of the three blocks is on a
@@ -599,8 +599,9 @@ class TestTable:
         cols = [np.arange(4, dtype=complex), np.arange(4, dtype=complex)]
         for (row, col), v in bad.items():
             cols[col][row] = v
-        monkeypatch.setattr(cli, "jacobi_line", lambda k, g, z, s_max: repeat(cols[0]))
-        monkeypatch.setattr(cli, "cauchy_closed_line", lambda k, g, z, s_max: repeat(cols[1]))
+        monkeypatch.setattr(cli, "jacobi_line", lambda k, g, z, s_max, s_min: repeat(cols[0]))
+        monkeypatch.setattr(cli, "cauchy_closed_line",
+                            lambda k, g, z, s_max, s_min: repeat(cols[1]))
         out = tmp_path / "t.csv"
         assert main(["table", "--m", "1", "--n", "1", "--r-steps", "1",
                      "--theta-steps", "4", "--with-cauchy", "--out", str(out)]) == 3

@@ -1,12 +1,18 @@
-"""The package's public names are its modules' ``__all__`` lists, and its
-sources parse at the oldest Python it supports."""
+"""The package's public names are its modules' ``__all__`` lists, its
+sources parse at the oldest Python it supports, and bad arguments at its
+entry points raise its own errors, not bare Python ones."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+import pytest
+
 import diskpoly
+from diskpoly import (DiskExpr, DomainError, NonConvergentError, cauchy_closed_line, eval_expr,
+                      hermite, hermite_limit_error, hyp2f1, incomplete_beta, jacobi_line,
+                      jacobi_p, pochhammer)
 
 MODULES = ("errors", "numerics", "algebra", "zernike", "spectral", "cauchy")
 
@@ -36,3 +42,24 @@ def test_sources_parse_at_the_python_floor():
     assert len(files) >= 29
     for path in files:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: hermite_limit_error(1, 1, 0.3, "abc"), DomainError),
+    (lambda: hermite_limit_error(1, 1, 0.3, None), DomainError),
+    (lambda: hyp2f1("a", 1, 1, 0.5), DomainError),
+    (lambda: incomplete_beta("a", 1, 0.5), DomainError),
+    (lambda: jacobi_p(2, "a", 0.5, 0.3), DomainError),
+    (lambda: jacobi_p(2, 0.5, 0.5, "x"), DomainError),
+    (lambda: pochhammer("a", 2), DomainError),
+    (lambda: eval_expr(DiskExpr.one(), "abc"), DomainError),
+    (lambda: eval_expr(DiskExpr.z_power(1), "0.3"), DomainError),
+    (lambda: hermite(64, 64, 1e300), NonConvergentError),
+    (lambda: next(jacobi_line("a", 0.5, 0.3, 2)), DomainError),
+    (lambda: next(cauchy_closed_line(1, 0.5, 0.3, "2")), DomainError),
+], ids=["rho-str", "rho-none", "hyp2f1", "incomplete-beta", "jacobi-p-alpha", "jacobi-p-x",
+        "pochhammer", "eval-expr-str", "eval-expr-numeric-str", "hermite-overflow",
+        "jacobi-line-k", "closed-line-s-max"])
+def test_bad_arguments_raise_package_errors(call, error):
+    with pytest.raises(error):
+        call()

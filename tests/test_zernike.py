@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from diskpoly import algebra, zernike
+from diskpoly.cauchy import cauchy_zernike_closed
 from diskpoly.errors import DomainError, NonConvergentError, ParamMismatchError
 from diskpoly.numerics import pochhammer
 from diskpoly.sampling import disk_points
@@ -386,7 +387,8 @@ class TestJacobiLine:
     @pytest.mark.parametrize("g", [-0.99, -0.5, 0.0, 0.5, 2.5, 30.0, 300.0])
     def test_every_member_matches_eval_jacobi(self, g):
         # up to the cap, where gamma = 300 overflows to inf and nan: those
-        # bits must agree too
+        # bits must agree too; a line started at s_min is the full line's
+        # members from s_min on
         with np.errstate(all="ignore"):
             for k in range(-INDEX_CAP, INDEX_CAP + 1):
                 s_max = INDEX_CAP - abs(k)
@@ -395,6 +397,11 @@ class TestJacobiLine:
                 for s, v in enumerate(members):
                     p = ZernikeParams(s + max(-k, 0), s + max(k, 0), g)
                     assert self._same_bits(v, eval_jacobi(p, self.PTS)), (p, s)
+                for s_min in {min(1, s_max), s_max // 2, s_max}:
+                    tail = list(jacobi_line(k, g, self.PTS, s_max, s_min))
+                    assert len(tail) == s_max + 1 - s_min, (k, s_min)
+                    for s, v in enumerate(tail, s_min):
+                        assert self._same_bits(v, members[s]), (k, s_min, s)
 
     def test_scalar_members_match_eval_jacobi(self):
         for g in (-0.5, 0.5, 30.0):
@@ -411,13 +418,47 @@ class TestJacobiLine:
         for v in jacobi_line(-2, 0.5, pts, 3):
             assert v.shape == (2, 3) and v.dtype == complex
 
-    @pytest.mark.parametrize("k, g, z, s_max", [
-        (65, 0.5, 0.3, 0), (-65, 0.5, 0.3, 0), (3, 0.5, 0.3, 62), (0, 0.5, 0.3, 65),
-        (0, -1.0, 0.3, 2), (0, math.nan, 0.3, 2), (1, 0.5, 1.1, 2),
-        (1, 0.5, np.array([0.3, complex(0.0, math.nan)]), 2)])
-    def test_bad_line_raises_before_first_member(self, k, g, z, s_max):
+    def test_no_members_when_s_min_above_s_max(self):
+        assert list(jacobi_line(1, 0.5, 0.3, 2, 3)) == []
+
+    # the rows at the default s_min = 0 leave it out of their ids
+    @pytest.mark.parametrize("k, g, z, s_max, s_min", [
+        pytest.param(65, 0.5, 0.3, 0, 0, id="65-0.5-0.3-0"),
+        pytest.param(-65, 0.5, 0.3, 0, 0, id="-65-0.5-0.3-0"),
+        pytest.param(3, 0.5, 0.3, 62, 0, id="3-0.5-0.3-62"),
+        pytest.param(0, 0.5, 0.3, 65, 0, id="0-0.5-0.3-65"),
+        pytest.param(0, -1.0, 0.3, 2, 0, id="0--1.0-0.3-2"),
+        pytest.param(0, math.nan, 0.3, 2, 0, id="0-nan-0.3-2"),
+        pytest.param(1, 0.5, 1.1, 2, 0, id="1-0.5-1.1-2"),
+        pytest.param(1, 0.5, np.array([0.3, complex(0.0, math.nan)]), 2, 0, id="1-0.5-z7-2"),
+        pytest.param(1.0, 0.5, 0.3, 2, 0, id="1.0-0.5-0.3-2"),
+        pytest.param("1", 0.5, 0.3, 2, 0, id="str-0.5-0.3-2"),
+        pytest.param(1, 0.5, 0.3, 2.0, 0, id="1-0.5-0.3-2.0"),
+        pytest.param(1, 0.5, 0.3, None, 0, id="1-0.5-0.3-None"),
+        (1, 0.5, 0.3, 2, 0.5), (1, 0.5, 0.3, 2, "1"), (1, 0.5, 0.3, 2, -1)])
+    def test_bad_line_raises_before_first_member(self, k, g, z, s_max, s_min):
         with pytest.raises(DomainError):
-            next(jacobi_line(k, g, z, s_max))
+            next(jacobi_line(k, g, z, s_max, s_min))
+
+    def test_one_prefactor_per_one_member_call(self, monkeypatch):
+        # eval_jacobi and the closed transform (n >= 1) form only their own
+        # member, so each takes one prefactor, not one per member below it
+        calls = []
+        real = zernike._jacobi_prefactor
+
+        def counted(s, k, g):
+            calls.append(s)
+            return real(s, k, g)
+
+        monkeypatch.setattr(zernike, "_jacobi_prefactor", counted)
+        for m, n in [(0, 0), (3, 5), (8, 8), (64, 64), (40, 64), (64, 1)]:
+            for z in (0.3 - 0.2j, self.PTS):
+                calls.clear()
+                eval_jacobi(ZernikeParams(m, n, 0.5), z)
+                assert calls == [min(m, n)], (m, n)
+                calls.clear()
+                cauchy_zernike_closed(ZernikeParams(m, max(n, 1), 0.5), z)
+                assert calls == [min(m, max(n, 1) - 1)], (m, n)
 
 
 class TestContourNodeCount:
