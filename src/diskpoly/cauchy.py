@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import _check_count, _check_weight, gauss_legendre, hyp2f1, incomplete_beta
-from .zernike import INDEX_CAP, ZernikeParams, _check_disk, _explicit_terms, jacobi_line
+from .zernike import (INDEX_CAP, ZernikeParams, _check_disk, _explicit_terms, eval_explicit,
+                      jacobi_line)
 
 __all__ = [
     "cauchy_monomial_closed",
@@ -27,6 +28,8 @@ __all__ = [
     "cauchy_closed_line",
     "cauchy_zernike_quad",
     "cauchy_direct_2d",
+    "CAUCHY_ROUTES",
+    "MONOMIAL_ROUTES",
 ]
 
 
@@ -190,3 +193,12 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     ring = (vals * radial).sum(axis=1)
     acc = np.sum(reach * ring * e.conjugate())
     return complex(acc * (2.0 * np.pi / n_theta) / np.pi)
+
+
+# The transform routes by name: of a member, the 2D oracle included, and of a monomial.
+CAUCHY_ROUTES = {
+    "closed": cauchy_zernike_closed,
+    "quad": cauchy_zernike_quad,
+    "direct": lambda p, z: cauchy_direct_2d(lambda w: eval_explicit(p, w), p.gamma, z),
+}
+MONOMIAL_ROUTES = {"closed": cauchy_monomial_closed, "2f1": cauchy_monomial_2f1}

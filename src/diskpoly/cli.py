@@ -15,13 +15,11 @@ import sys
 
 import numpy as np
 
-from .cauchy import (cauchy_closed_line, cauchy_direct_2d, cauchy_monomial_2f1,
-                     cauchy_monomial_closed, cauchy_zernike_closed, cauchy_zernike_quad)
+from .cauchy import CAUCHY_ROUTES, MONOMIAL_ROUTES, cauchy_closed_line, cauchy_zernike_closed
 from .errors import DiskPolyError, NonConvergentError
 from .report import _f17, serialize
 from .suites import DEFAULT_GAMMAS, DEFAULT_SEED, SUITE_NAMES, run_suite
-from .zernike import (MAX_NODES, ROUTES, ZernikeParams, _check_indices, eval_explicit,
-                      eval_route, jacobi_line)
+from .zernike import MAX_NODES, ROUTES, ZernikeParams, _check_indices, eval_route, jacobi_line
 
 __all__ = ["main"]
 
@@ -84,23 +82,20 @@ def _value_line(label: str, v: complex) -> str:
 def cmd_eval(ns) -> int:
     p = ZernikeParams(ns.m, ns.n, ns.gamma)
     z = _parse_z(ns.z)
-    if ns.method != "all":
-        v = eval_route(p, z, ns.method, contour_nodes=ns.contour_nodes)
-        print(_value_line(ns.method, v))
-        return 0
-    values = []
+    every = ns.method == "all"
     r2 = z.real * z.real + z.imag * z.imag
-    for route in ROUTES:
-        if route in ("gauss1", "gauss2") and r2 == 0:
-            continue
-        if route == "contour" and abs(z) > 0.95:
+    values = []
+    for route in ROUTES if every else (ns.method,):
+        if every and (route in ("gauss1", "gauss2") and r2 == 0
+                      or route == "contour" and abs(z) > 0.95):
             continue
         v = eval_route(p, z, route, contour_nodes=ns.contour_nodes)
         values.append(v)
         print(_value_line(route, v))
-    dev = max((abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]),
-              default=0.0)
-    print(f"max_pairwise_deviation, {dev!r}")
+    if every:
+        dev = max((abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]),
+                  default=0.0)
+        print(f"max_pairwise_deviation, {dev!r}")
     return 0
 
 
@@ -233,14 +228,6 @@ def cmd_table(ns) -> int:
 
 # ---------------------------------------------------------------- cauchy
 
-_MONOMIAL_ROUTES = {"closed": cauchy_monomial_closed, "2f1": cauchy_monomial_2f1}
-_PAIR_ROUTES = {
-    "closed": cauchy_zernike_closed,
-    "quad": cauchy_zernike_quad,
-    "direct": lambda p, z: cauchy_direct_2d(lambda w: eval_explicit(p, w), p.gamma, z),
-}
-
-
 def cmd_cauchy(ns) -> int:
     z = _parse_z(ns.z)
     has_mono = ns.monomial is not None
@@ -249,7 +236,7 @@ def cmd_cauchy(ns) -> int:
         _flag_error("specify exactly one of --monomial or --m/--n")
     if has_pair and (ns.m is None or ns.n is None):
         _flag_error("--m and --n go together")
-    routes = _MONOMIAL_ROUTES if has_mono else _PAIR_ROUTES
+    routes = MONOMIAL_ROUTES if has_mono else CAUCHY_ROUTES
     if ns.route not in routes:
         _flag_error(f"--route {ns.route} needs {'--m/--n' if has_mono else '--monomial'}")
     if has_mono:
@@ -279,7 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--z", required=True, help="point as 're,im'")
-    p.add_argument("--method", required=True, choices=ROUTES + ("all",))
+    p.add_argument("--method", required=True, choices=(*ROUTES, "all"))
     p.add_argument("--contour-nodes", type=int, default=None, metavar="N",
                    help=f"run the contour route as one pass of N nodes, an integer "
                         f"from 16 to {MAX_NODES}, instead of its adaptive node rule")
@@ -313,7 +300,7 @@ def build_parser() -> _Parser:
     p.add_argument("--monomial", default=None, help="exponents 'p,q,k'")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--route", default="closed", choices=("closed", "quad", "2f1", "direct"))
+    p.add_argument("--route", default="closed", choices={**CAUCHY_ROUTES, **MONOMIAL_ROUTES})
     p.set_defaults(func=cmd_cauchy)
     return parser
 

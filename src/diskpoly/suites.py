@@ -38,10 +38,10 @@ from .spectral import (
     factorization_residuals,
 )
 from .zernike import (
+    ROUTES,
     ZernikeParams,
     contour_row,
     eval_explicit,
-    eval_route,
     hermite,
     hermite_limit_error,
     inner_product,
@@ -96,11 +96,13 @@ def _reference(p: ZernikeParams, pts) -> tuple[list, float]:
 def suite_routes(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     pts = disk_points(seed, 6, 0.95)
     pts_contour = disk_points(seed + 1, 6, 0.8)
+    routes = dict(ROUTES)
+    del routes["explicit"], routes["contour"]  # the referee, and the row path below
     rows = []
     for p, params, contour in _contour_grid(max_mn, gammas, np.array(pts_contour), None):
         ref, s = _reference(p, pts + pts_contour)
-        for route in ("gauss1", "gauss2", "jacobi", "rodrigues"):
-            err = _worst([eval_route(p, z, route) for z in pts], ref[:len(pts)], s)
+        for route, func in routes.items():
+            err = _worst([func(p, z) for z in pts], ref[:len(pts)], s)
             rows.append(checked_row(f"{route}_vs_explicit", params, err, 1e-9))
         if isinstance(contour, NonConvergentError):
             raise contour

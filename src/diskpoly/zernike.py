@@ -545,28 +545,27 @@ def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray) -> complex 
     return _member(_contour_row(p.m, p.gamma, (p.n,), z, None))
 
 
-# The point routes; "contour" is dispatched on its own, because it
-# chooses between the fixed and the adaptive rule.
-_ROUTE_FUNCS = {
+# The evaluation routes by name, each a function of (params, z).
+ROUTES = {
     "explicit": eval_explicit,
     "gauss1": eval_gauss1,
     "gauss2": eval_gauss2,
     "jacobi": eval_jacobi,
     "rodrigues": eval_rodrigues,
+    "contour": eval_contour_adaptive,
 }
-ROUTES = (*_ROUTE_FUNCS, "contour")
 
 
 def eval_route(p: ZernikeParams, z: complex, route: str,
                contour_nodes: int | None = None) -> complex:
-    """Dispatch a single evaluation to the named route."""
-    if route == "contour":
-        if contour_nodes is not None:
-            return eval_contour(p, z, contour_nodes)
-        return eval_contour_adaptive(p, z)
-    if route not in _ROUTE_FUNCS:
-        raise DomainError(f"unknown route {route!r}")
-    return _ROUTE_FUNCS[route](p, z)
+    """Evaluate by the named route of ROUTES; contour_nodes fixes contour's rule."""
+    try:
+        func = ROUTES[route]
+    except KeyError:
+        raise DomainError(f"unknown route {route!r}") from None
+    if route == "contour" and contour_nodes is not None:
+        return eval_contour(p, z, contour_nodes)
+    return func(p, z)
 
 
 def value_at_origin(p: ZernikeParams) -> float:
