@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import _check_count, _check_weight, gauss_legendre, hyp2f1, incomplete_beta
-from .zernike import (INDEX_CAP, ZernikeParams, _check_disk, _explicit_terms, eval_explicit,
-                      jacobi_line)
+from .zernike import (INDEX_CAP, ZernikeParams, _check_disk, _check_indices, _explicit_terms,
+                      eval_explicit, jacobi_line)
 
 __all__ = [
     "cauchy_monomial_closed",
@@ -101,10 +101,14 @@ def cauchy_closed_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int
     the same s: so the line is u^(gamma+1) times
     ``zernike.jacobi_line(k - 1, gamma + 1, z, s_max, s_min)``, and
     between two members it holds that line's state and the weight.  ``z``
-    may be a scalar or an ndarray of points in the closed disk; k is
-    checked as an integer before the line is shifted.
+    may be a scalar or an ndarray of points in the closed disk.  Before
+    the line is shifted k is checked as an integer, and s_min and s_max as
+    indices with s_max + k <= INDEX_CAP, the top member's n.
     """
     k = _check_count(k, 1 - INDEX_CAP, "line charge k")
+    s_min, s_max = _check_indices(s_min, s_max)
+    if s_max + k > INDEX_CAP:
+        raise DomainError(f"indices must lie in [0, {INDEX_CAP}], got ({s_max}, {s_max + k})")
     gamma = _check_weight(gamma)
     z = _check_disk(z, arrays=True)
     u = 1.0 - (z.real * z.real + z.imag * z.imag)

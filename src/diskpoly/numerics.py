@@ -355,27 +355,11 @@ def _beta_closed(a: float, b: float, x: float) -> float:
 # call returns what it would return uncached.  A call that raises is not
 # cached, so it raises again when repeated.
 @lru_cache(maxsize=4096, typed=True)
-def incomplete_beta(a: float, b: float, x: float) -> float:
-    """Incomplete beta integral of t^(a-1)(1-t)^(b-1) over [0, x].
-
-    The integral over [x, 1] is ``incomplete_beta(b, a, 1 - x)``.  The
-    value comes from the closed hypergeometric form
-    (x^a / a)(1-x)^b 2F1(1, a+b; a+1; x) and every interior call is
-    cross-checked against composite Gauss quadrature of the defining
-    integral; disagreement beyond ``_BETA_CHECK_TOL`` (relative) raises
-    NonConvergentError since it signals a defect in one of the routes.
-    The check runs once per distinct argument: results are memoised.
-    Needs real a, b and x, with finite a > 0 and b > -1 (b > 0 when
-    x = 1).
-    """
-    try:
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DomainError(f"exponent parameters must be finite, got ({a}, {b})")
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"x must lie in [0, 1], got {x}")
-    except TypeError:
-        raise DomainError(
-            f"incomplete_beta needs real a, b and x, got ({a!r}, {b!r}, {x!r})") from None
+def _incomplete_beta(a: float, b: float, x: float) -> float:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"exponent parameters must be finite, got ({a}, {b})")
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"x must lie in [0, 1], got {x}")
     if a <= 0:
         raise DomainError(f"first exponent parameter must be positive, got {a}")
     if x == 0.0:
@@ -399,3 +383,29 @@ def incomplete_beta(a: float, b: float, x: float) -> float:
             f"incomplete beta routes disagree: closed={closed!r} quadrature={quad!r}"
         )
     return closed
+
+
+def incomplete_beta(a: float, b: float, x: float) -> float:
+    """Incomplete beta integral of t^(a-1)(1-t)^(b-1) over [0, x].
+
+    The integral over [x, 1] is ``incomplete_beta(b, a, 1 - x)``.  The
+    value comes from the closed hypergeometric form
+    (x^a / a)(1-x)^b 2F1(1, a+b; a+1; x) and every interior call is
+    cross-checked against composite Gauss quadrature of the defining
+    integral; disagreement beyond ``_BETA_CHECK_TOL`` (relative) raises
+    NonConvergentError since it signals a defect in one of the routes.
+    The check runs once per distinct argument: results are memoised.
+    Needs real a, b and x, with finite a > 0 and b > -1 (b > 0 when
+    x = 1).
+    """
+    try:
+        return _incomplete_beta(a, b, x)
+    except TypeError:
+        # an argument that is no real number: unhashable, so the cache
+        # refused it, or not comparable with floats in the checks
+        raise DomainError(
+            f"incomplete_beta needs real a, b and x, got ({a!r}, {b!r}, {x!r})") from None
+
+
+incomplete_beta.cache_info = _incomplete_beta.cache_info
+incomplete_beta.cache_clear = _incomplete_beta.cache_clear

@@ -7,6 +7,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diskpoly
@@ -57,9 +58,14 @@ def test_sources_parse_at_the_python_floor():
     (lambda: hermite(64, 64, 1e300), NonConvergentError),
     (lambda: next(jacobi_line("a", 0.5, 0.3, 2)), DomainError),
     (lambda: next(cauchy_closed_line(1, 0.5, 0.3, "2")), DomainError),
+    (lambda: next(cauchy_closed_line(65, 0.5, 0.3, 0)), DomainError),
+    (lambda: incomplete_beta([1], 1, 0.5), DomainError),
+    (lambda: incomplete_beta(1, 1, np.array([0.5])), DomainError),
+    (lambda: hermite(8, 8, 1e20 + 1e20j), NonConvergentError),
 ], ids=["rho-str", "rho-none", "hyp2f1", "incomplete-beta", "jacobi-p-alpha", "jacobi-p-x",
         "pochhammer", "eval-expr-str", "eval-expr-numeric-str", "hermite-overflow",
-        "jacobi-line-k", "closed-line-s-max"])
+        "jacobi-line-k", "closed-line-s-max", "closed-line-past-cap", "incomplete-beta-list",
+        "incomplete-beta-ndarray", "hermite-non-finite"])
 def test_bad_arguments_raise_package_errors(call, error):
     with pytest.raises(error):
         call()

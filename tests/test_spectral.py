@@ -1,8 +1,10 @@
 """Tests for the ladder operators and the twisted Laplacian."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diskpoly.algebra import (
@@ -238,10 +240,16 @@ def test_operator_matches_composition_exactly(op, composed, e, nu):
 
 @pytest.mark.parametrize("op, composed", OPERATORS, ids=OPERATOR_IDS)
 @given(e=float_exprs, nu=float_parts)
+# subnormal coefficients: the two orders round one ulp of 0.0 apart
+@example(e=DiskExpr({(0, 0, 0): 2.2250738585e-313j}, 1.5), nu=1.75)
 @settings(max_examples=150, deadline=None)
 def test_operator_matches_composition_in_floats(op, composed, e, nu):
     got, want = op(nu, e), composed(nu, e)
     # a coefficient that cancels keeps only rounding noise of its operands'
-    # size, so the input's coefficients count in the scale too
+    # size, so the input's coefficients count in the scale too.  Below the
+    # normal range a rounding errs by up to half of math.ulp(0.0) whatever
+    # the size, and the operators' factors scale that (7 ulps at most in a
+    # 20 000-case sweep of subnormal inputs), so the tolerance has a floor
+    # of 16 such ulps; without it, it underflows to 0 and asks for equal bits
     top = max(max_abs_coeff(e), max_abs_coeff(got), max_abs_coeff(want))
-    assert equal(got, want, tol=1e-12 * top)
+    assert equal(got, want, tol=max(1e-12 * top, 16 * math.ulp(0.0)))

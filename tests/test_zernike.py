@@ -14,7 +14,7 @@ from diskpoly.cauchy import cauchy_zernike_closed
 from diskpoly.errors import DomainError, NonConvergentError, ParamMismatchError
 from diskpoly.numerics import pochhammer
 from diskpoly.sampling import disk_points
-from diskpoly.suites import DEFAULT_GAMMAS, DEFAULT_SEED, normalized_deviation
+from diskpoly.suites import DEFAULT_GAMMAS, DEFAULT_SEED, normalized_deviation, run_suite
 from diskpoly.zernike import (
     INDEX_CAP,
     MAX_NODES,
@@ -904,8 +904,71 @@ class TestRodriguesExpr:
         msg = rf"m=64, n=64, gamma={g:g}\)"
         with pytest.raises(NonConvergentError, match=msg):
             rodrigues_expr(p)
-        with pytest.raises(NonConvergentError, match=msg):
-            eval_rodrigues(p, 0.3 + 0.2j)
+        z = 0.3 + 0.2j
+        if g == 1000.0:
+            with pytest.raises(NonConvergentError, match=msg):
+                eval_rodrigues(p, z)
+        else:
+            # the route sums the exact ints, and the value is in range
+            # though some rounded coefficients are not
+            assert eval_rodrigues(p, z) == -1.1766661447146164e241
+            assert eval_rodrigues(p, z) == pytest.approx(eval_jacobi(p, z), rel=1e-13)
+
+
+def _exact_value(m, n, g, z):
+    """The member at z as two Fractions, from the exact explicit terms and
+    z's binary value: the angular factor times sum_j c_j |z|^(2(s-j)) u^j."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    r2 = x * x + y * y
+    radial = sum(c * r2 ** (min(m, n) - j) * (1 - r2) ** j
+                 for _, _, j, c in _naive_terms(m, n, Fraction(g)))
+    if n < m:  # the angular factor is a power of conj(z)
+        y = -y
+    re, im = radial, Fraction(0)
+    for _ in range(abs(n - m)):
+        re, im = re * x - im * y, re * y + im * x
+    return re, im
+
+
+class TestRodriguesExact:
+    """eval_rodrigues sums the Rodrigues ints exactly and rounds once."""
+
+    PAIRS = [(0, 0), (3, 0), (0, 5), (3, 2), (8, 8), (20, 20), (23, 57), (64, 10), (64, 64)]
+    POINTS = [0.3 + 0.2j, 0.9 - 0.3j, 0.6885 + 0.5798j, 0.1 - 0.7j, 1.0, cmath.exp(0.7j), 0.5,
+              0j]
+
+    @pytest.mark.parametrize("g", [0.5, -0.9, 2.5, 30.0])
+    def test_correctly_rounded(self, g):
+        # each part is the exact value rounded to nearest, an exact zero
+        # +0.0 (off the diagonal at the origin, the imaginary part on the
+        # real axis); at the tiny point some parts underflow to -0.0
+        tiny = [(pair, 1e-300 + 2e-300j) for pair in self.PAIRS[:5]]
+        for (m, n), z in [(pair, z) for pair in self.PAIRS for z in self.POINTS] + tiny:
+            re, im = _exact_value(m, n, g, z)
+            got = eval_rodrigues(ZernikeParams(m, n, g), z)
+            assert got.real.hex() == float(re).hex(), (m, n, z)
+            assert got.imag.hex() == float(im).hex(), (m, n, z)
+
+    def test_at_the_cap(self):
+        # the float sum gave -1.72e243 here
+        p = ZernikeParams(64, 64, 0.5)
+        assert eval_rodrigues(p, 0.3 + 0.2j) == -6.7365837517679195e214
+
+    def test_ints_cached_for_the_route_only(self):
+        # rodrigues_expr's builds would hold the ints twice
+        zernike._rodrigues_ints.cache_clear()
+        rodrigues_expr.__wrapped__(ZernikeParams(5, 4, 0.3))
+        assert zernike._rodrigues_ints.cache_info().currsize == 0
+        eval_rodrigues(ZernikeParams(5, 4, 0.3), 0.2)
+        eval_rodrigues(ZernikeParams(5, 4, 0.3), 0.4j)
+        assert zernike._rodrigues_ints.cache_info()[:2] == (1, 1)
+
+    # the float sum over rounded coefficients failed rodrigues_vs_explicit
+    # at gamma = 2.5, (8, 8) at these seeds
+    @pytest.mark.parametrize("seed", [38, 70, 130, 157])
+    def test_routes_suite_passes(self, seed):
+        report = run_suite("routes", 8, seed=seed)
+        assert report.all_passed, [r for r in report.rows if not r.passed]
 
 
 class TestMonomialCoeffs:
