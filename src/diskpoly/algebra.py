@@ -14,11 +14,21 @@ back into the offset, so simple results land in their natural form (the
 z-derivative of u comes out as offset 0 with a single u^0 term, for
 example).
 
+The public constructor checks its arguments and reduces every key.  An
+operation whose result is canonical by construction (``add``, ``scale``,
+``prune``, a product with a lone ``c u^h`` first factor, the termwise
+operators in ``spectral``, and ``rodrigues_expr`` and ``explicit_expr``
+in ``zernike``) builds through ``_from_canonical`` instead, which skips
+the checks and the reduction and gives the same terms, bit for bit and
+in the same order.
+
 All operations return new expressions; nothing here mutates.
 """
 
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
+from numbers import Integral, Number, Rational, Real
+from operator import itemgetter
 
 from .errors import DomainError, OffsetMismatchError, TooLargeError
 from .numerics import _check_point
@@ -38,6 +48,7 @@ __all__ = [
 ]
 
 TERM_CAP = 10**6
+_U_POWER = itemgetter(2)
 
 
 @lru_cache(maxsize=256)
@@ -46,19 +57,33 @@ def _signed_binomials(m: int) -> tuple:
     return tuple((i, comb(m, i), (-1) ** i) for i in range(m + 1))
 
 
+def _check_terms(raw, base_offset) -> dict:
+    """The public constructor's arguments: a dict from (a, b, k) integer
+    triples to numbers (``_canonical`` rejects a negative a or b), and a
+    finite real offset.  Returns the dict, {} for None."""
+    if raw is None:
+        raw = {}
+    elif not isinstance(raw, dict):
+        raise DomainError(f"terms must be a dict, got {type(raw).__name__}")
+    if not (isinstance(base_offset, Rational)
+            or isinstance(base_offset, Real) and isfinite(base_offset)):
+        raise DomainError(f"base offset must be a finite real number, got {base_offset!r}")
+    if len(raw) > TERM_CAP:
+        raise TooLargeError(f"expression exceeds {TERM_CAP} terms before reduction")
+    for key, c in raw.items():
+        if not (type(key) is tuple and len(key) == 3 and all(isinstance(x, Integral) for x in key)):
+            raise DomainError(f"term key must be a triple (a, b, k) of integers, got {key!r}")
+        if not isinstance(c, Number):
+            raise DomainError(f"coefficient of {key} must be a number, got {c!r}")
+    return raw
+
+
 def _canonical(raw: dict) -> dict:
     """Reduce every key to min(a, b) = 0 via (z conj(z))^m = (1 - u)^m.
 
-    Always returns a new dict.  When no key needs reducing, as after
-    ``add``, ``scale``, ``prune`` or a product with a single ``c u^h`` term,
-    one scan finds that out, and each nonzero coefficient becomes the
-    ``0 + c`` that the reduction would leave.
+    The public constructor's reduction.  Always returns a new dict without
+    zero coefficients.
     """
-    for a, b, _ in raw:
-        if a < 0 or b < 0 or a and b:
-            break
-    else:
-        return {key: 0 + c for key, c in raw.items() if c != 0}
     out: dict[tuple[int, int, int], complex] = {}
     for key, c in raw.items():
         a, b, k = key
@@ -76,30 +101,45 @@ def _canonical(raw: dict) -> dict:
     return {key: c for key, c in out.items() if c != 0}
 
 
+def _from_canonical(terms: dict, g, into: "DiskExpr | None" = None) -> "DiskExpr":
+    """The constructor minus its checks and its reduction, for trusted terms.
+
+    Every key must have min(a, b) = 0 with a, b >= 0, and every value must
+    be built starting from 0 (``out.get(key, 0) + ...``, ``0 + ...``, or a
+    canonical expression's value), so that no part is -0.0 and ``0 + c``
+    would leave its bits alone.  Then the result is ``DiskExpr(terms, g)``,
+    term for term and in order.  Zeros go, and the smallest u-power moves
+    into the offset, which is kept as given, so a Fraction offset stays
+    exact.  The result may keep ``terms``: the caller must not touch it
+    again.  The public constructor passes itself as ``into``.
+    """
+    if len(terms) > TERM_CAP:
+        raise TooLargeError(f"expression exceeds {TERM_CAP} terms before reduction")
+    if 0 in terms.values():
+        terms = {key: c for key, c in terms.items() if c}
+    if terms:
+        kmin = min(map(_U_POWER, terms))
+        if kmin != 0:
+            terms = {(a, b, k - kmin): c for (a, b, k), c in terms.items()}
+            g += kmin
+    else:
+        g = 0
+    e = object.__new__(DiskExpr) if into is None else into
+    object.__setattr__(e, "terms", terms)
+    object.__setattr__(e, "base_offset", g)
+    return e
+
+
 class DiskExpr:
     """Canonical immutable sum of z^a conj(z)^b u^(base_offset + k) terms."""
 
     __slots__ = ("terms", "base_offset")
 
     def __init__(self, terms: dict | None = None, base_offset: float = 0):
-        raw = terms or {}
-        if len(raw) > TERM_CAP:
-            raise TooLargeError(f"expression exceeds {TERM_CAP} terms before reduction")
-        canon = _canonical(raw)
+        canon = _canonical(_check_terms(terms, base_offset))
         if len(canon) > TERM_CAP:
             raise TooLargeError(f"expression exceeds {TERM_CAP} terms")
-        # the smallest u-power moves into the offset, which is kept as
-        # given, so a Fraction offset stays exact
-        g = base_offset
-        if canon:
-            kmin = min([key[2] for key in canon])
-            if kmin != 0:
-                canon = {(a, b, k - kmin): c for (a, b, k), c in canon.items()}
-                g += kmin
-        else:
-            g = 0
-        object.__setattr__(self, "terms", canon)
-        object.__setattr__(self, "base_offset", g)
+        _from_canonical(canon, base_offset, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiskExpr is immutable")
@@ -160,13 +200,13 @@ def add(e1: DiskExpr, e2: DiskExpr) -> DiskExpr:
     t1, t2, g = _aligned(e1, e2)
     for key, c in t2.items():
         t1[key] = t1.get(key, 0) + c
-    return DiskExpr(t1, g)
+    return _from_canonical(t1, g)
 
 
 def scale(e: DiskExpr, c: complex) -> DiskExpr:
     if c == 0:
-        return DiskExpr()
-    return DiskExpr({key: v * c for key, v in e.terms.items()}, e.base_offset)
+        return _from_canonical({}, 0)
+    return _from_canonical({key: 0 + v * c for key, v in e.terms.items()}, e.base_offset)
 
 
 def mul(e1: DiskExpr, e2: DiskExpr) -> DiskExpr:
@@ -177,7 +217,11 @@ def mul(e1: DiskExpr, e2: DiskExpr) -> DiskExpr:
         for (a2, b2, k2), c2 in e2.terms.items():
             key = (a1 + a2, b1 + b2, k1 + k2)
             out[key] = out.get(key, 0) + c1 * c2
-    return DiskExpr(out, e1.base_offset + e2.base_offset)
+    g = e1.base_offset + e2.base_offset
+    # c u^h times a canonical expression keeps its keys
+    if len(e1.terms) == 1 and (0, 0, 0) in e1.terms:
+        return _from_canonical(out, g)
+    return DiskExpr(out, g)
 
 
 def d_z(e: DiskExpr) -> DiskExpr:
@@ -244,22 +288,30 @@ def equal(e1: DiskExpr, e2: DiskExpr, tol: float = 0.0) -> bool:
     """Coefficient-wise comparison in canonical form, offsets aligned."""
     t1, t2, _ = _aligned(e1, e2)
     for key in t1.keys() | t2.keys():
-        if abs(t1.get(key, 0) - t2.get(key, 0)) > tol:
+        # written so that a NaN difference is unequal
+        if not abs(t1.get(key, 0) - t2.get(key, 0)) <= tol:
             return False
     return True
 
 
 def max_abs_coeff(e: DiskExpr) -> float:
-    return max((abs(c) for c in e.terms.values()), default=0.0)
+    """The largest coefficient modulus, or NaN if any modulus is NaN."""
+    mods = list(map(abs, e.terms.values()))
+    # max skips a NaN that follows a number; a sum of moduli, all >= 0, is
+    # NaN exactly when one of them is
+    total = sum(mods)
+    return total if total != total else max(mods, default=0.0)
 
 
 def prune(e: DiskExpr, rel_tol: float = 1e-12) -> DiskExpr:
-    """Drop coefficients below rel_tol times the largest one."""
+    """Drop coefficients at or below rel_tol times the largest one.  NaN
+    terms are kept, and so is every term when the largest is NaN."""
     top = max_abs_coeff(e)
     if top == 0.0:
-        return DiskExpr()
-    kept = {key: c for key, c in e.terms.items() if abs(c) > rel_tol * top}
-    return DiskExpr(kept, e.base_offset)
+        return _from_canonical({}, 0)
+    cut = rel_tol * top
+    kept = {key: c for key, c in e.terms.items() if not abs(c) <= cut}
+    return _from_canonical(kept, e.base_offset)
 
 
 def dump(e: DiskExpr) -> str:

@@ -12,9 +12,9 @@ integers 0 <= m < nu - 1/2.  Eigenfunctions are built by applying the
 raising operator repeatedly to the weight-dressed ground states, and a
 rescaling by a u-power carries them onto the disk polynomial family.
 
-The operators act termwise, in one pass with one constructor call.  On a
-canonical term c z^a zbar^b u^(g+k), min(a, b) = 0, write q = g + k; the
-offset g is kept.
+The operators act termwise, in one pass.  On a canonical term
+c z^a zbar^b u^(g+k), min(a, b) = 0, write q = g + k; the offset g is
+kept.
 
   nabla(alpha)           a > 0: (q+alpha) c at (a-1, 0, k) and
                                 -(q+alpha+a) c at (a-1, 0, k+1);
@@ -27,14 +27,16 @@ offset g is kept.
 
 These follow from the compositions of d_z, d_zbar and products with u, z,
 zbar and z zbar by z zbar = 1 - u, and they hold only for canonical input,
-which every DiskExpr is.
+which every DiskExpr is.  Every image key is canonical too, and every
+value is summed starting from 0, so the result is built by
+``algebra._from_canonical``, without the constructor's reduction pass.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import algebra
-from .algebra import DiskExpr, add, max_abs_coeff, mul, scale
+from .algebra import DiskExpr, _from_canonical, add, max_abs_coeff, mul, scale
 from .errors import DomainError
 from .numerics import _check_count, _check_real, pochhammer
 from .zernike import INDEX_CAP, ZernikeParams, explicit_expr
@@ -89,7 +91,7 @@ def nabla(alpha: float, e: DiskExpr) -> DiskExpr:
         else:
             key = (0, b + 1, k)
             out[key] = out.get(key, 0) + w
-    return DiskExpr(out, g)
+    return _from_canonical(out, g)
 
 
 def nabla_star(alpha: float, e: DiskExpr) -> DiskExpr:
@@ -106,7 +108,7 @@ def nabla_star(alpha: float, e: DiskExpr) -> DiskExpr:
         else:
             key = (a + 1, 0, k)
             out[key] = out.get(key, 0) + w
-    return DiskExpr(out, g)
+    return _from_canonical(out, g)
 
 
 def magnetic_laplacian(nu: float, e: DiskExpr) -> DiskExpr:
@@ -120,7 +122,7 @@ def magnetic_laplacian(nu: float, e: DiskExpr) -> DiskExpr:
         out[key] = out.get(key, 0) + (nu2 - q * (q - 1)) * c
         key = (a, b, k + 1)
         out[key] = out.get(key, 0) + (q * (q + a + b) - nu * (a - b) - nu2) * c
-    return DiskExpr(out, g)
+    return _from_canonical(out, g)
 
 
 def eigenvalue(nu: float, m: int) -> float:
@@ -139,7 +141,7 @@ def psi(sp: SpectralParams) -> DiskExpr:
 
     Cached per level; the result is immutable, so callers share it.
     """
-    e = mul(DiskExpr.z_power(sp.n), DiskExpr.u_power(sp.nu - sp.m))
+    e = DiskExpr({(sp.n, 0, 0): 1}, sp.nu - sp.m)
     for j in range(sp.m, 0, -1):
         e = nabla(sp.nu - j, e)
     return e

@@ -38,7 +38,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .algebra import DiskExpr
+from .algebra import DiskExpr, _from_canonical, _signed_binomials
 from .errors import DomainError, NonConvergentError, ParamMismatchError
 from .numerics import (_check_count, _check_point, _check_real, _check_weight, _jacobi_ladder,
                        hyp2f1, pochhammer)
@@ -296,12 +296,27 @@ def rodrigues_expr(p: ZernikeParams) -> DiskExpr:
     except OverflowError:
         raise NonConvergentError(
             f"Rodrigues coefficient overflows for (m={m}, n={n}, gamma={g:g})") from None
-    return DiskExpr(terms)
+    # one canonical key per u-power; a quotient is -0.0 only where it is
+    # zero, and zeros are dropped
+    return _from_canonical(terms, 0)
 
 
 def explicit_expr(p: ZernikeParams) -> DiskExpr:
-    """The explicit sum as an exact expression (canonical form)."""
-    return DiskExpr({(a, b, j): c for a, b, j, c in _explicit_terms(p.m, p.n, p.gamma)})
+    """The explicit sum as an exact expression (canonical form).
+
+    Every term lies on the charge line z^(n-s) conj(z)^(m-s), s = min(m, n):
+    term j is (z conj(z))^(s-j) = (1 - u)^(s-j) times it, at u^j.  So the
+    reduction is a list indexed by u-power, summed in the (j, i) order of
+    the constructor's, and it gives the constructor's bits (the
+    constructor adds term s as it is, and times 1 a float stays as it is).
+    """
+    m, n = p.m, p.n
+    s = min(m, n)
+    acc = [0] * (s + 1)
+    for _, _, j, c in _explicit_terms(m, n, p.gamma):
+        for i, binom, sign in _signed_binomials(s - j):
+            acc[j + i] += c * binom * sign
+    return _from_canonical({(n - s, m - s, k): c for k, c in enumerate(acc)}, 0)
 
 
 def eval_rodrigues(p: ZernikeParams, z: complex) -> complex:

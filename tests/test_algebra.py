@@ -6,7 +6,12 @@ d/dz = (d/dx - i d/dy)/2 and d/dconj(z) = (d/dx + i d/dy)/2.
 """
 
 import math
+from contextlib import contextmanager
+from decimal import Decimal
+from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +29,7 @@ from diskpoly.algebra import (
     prune,
     scale,
 )
+from diskpoly import algebra, spectral, zernike
 from diskpoly.errors import DomainError, OffsetMismatchError, TooLargeError
 
 
@@ -353,8 +359,8 @@ def test_prune_matches_generic(e, rel_tol):
     assert_same(prune(e, rel_tol), want)
 
 
-# keys with min(a, b) <= 0, which the constructor's scan takes as they are
-# unless an exponent is negative
+# keys with min(a, b) <= 0, which the constructor's reduction keeps as they
+# are unless an exponent is negative
 scan_keys = st.tuples(st.integers(-1, 3), st.integers(-1, 3),
                       st.integers(0, 2)).filter(lambda key: min(key[:2]) <= 0)
 
@@ -365,8 +371,7 @@ scan_keys = st.tuples(st.integers(-1, 3), st.integers(-1, 3),
 @example({(-1, 0, 0): 1.0}, 0)
 @settings(max_examples=150, deadline=None)
 def test_scan_matches_reduction(raw, g):
-    # the added zero term needs reducing, so the same terms go through the
-    # reduction loop instead of the scan's fast path
+    # an added zero term that needs reducing leaves every bit alone
     def build(terms):
         try:
             return DiskExpr(terms, g)
@@ -382,14 +387,186 @@ def test_scan_matches_reduction(raw, g):
 
 @pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, -2, 3), (2, -1, 0), (-1, 3, 1)])
 def test_negative_exponent_still_rejected(key):
-    # (0, -1, 0) has no key to reduce, so only the scan's sign check sees it
+    # (0, -1, 0) has no key to reduce, so only the sign check sees it
     with pytest.raises(DomainError):
         DiskExpr({key: 1.0})
 
 
 def test_term_cap_on_the_canonical_path(monkeypatch):
+    e = DiskExpr({(1, 0, 0): 1.0, (2, 0, 0): 1.0, (0, 3, 1): 2.0})
     monkeypatch.setattr("diskpoly.algebra.TERM_CAP", 2)
     e1 = DiskExpr({(1, 0, 0): 1.0, (2, 0, 0): 1.0})
     e2 = DiskExpr({(0, 1, 0): 1.0, (0, 2, 0): 1.0})
-    with pytest.raises(TooLargeError):
-        add(e1, e2)
+    with pytest.raises(TooLargeError) as public:
+        DiskExpr({**e1.terms, **e2.terms})
+    # the private builder raises what the constructor raises for its dict
+    for produce in (lambda: add(e1, e2), lambda: algebra._from_canonical(dict(e.terms), 0),
+                    lambda: scale(e, 2.0), lambda: prune(e, 0.0),
+                    lambda: spectral.nabla(0.5, e), lambda: spectral.magnetic_laplacian(1.5, e),
+                    lambda: zernike.explicit_expr(zernike.ZernikeParams(2, 2, 0.5))):
+        with pytest.raises(TooLargeError) as private:
+            produce()
+        assert str(private.value) == str(public.value)
+
+
+class TestNaN:
+    NAN = float("nan")
+    ORDERS = [{(0, 0, 0): 1.0, (1, 0, 0): NAN}, {(1, 0, 0): NAN, (0, 0, 0): 1.0},
+              {(0, 0, 0): 1.0, (1, 0, 0): complex(2.0, NAN)}]
+    IDS = ["nan-last", "nan-first", "complex-nan-last"]
+
+    @pytest.mark.parametrize("raw", ORDERS, ids=IDS)
+    def test_max_abs_coeff_is_nan(self, raw):
+        assert math.isnan(max_abs_coeff(DiskExpr(raw)))
+
+    @pytest.mark.parametrize("raw", ORDERS, ids=IDS)
+    def test_equal_is_false(self, raw):
+        e = DiskExpr(raw)
+        assert not equal(e, DiskExpr({(0, 0, 0): 1.0}), tol=1e-12)
+        assert not equal(DiskExpr({(0, 0, 0): 1.0}), e, tol=1e-12)
+        assert not equal(e, e, tol=1e-12)
+
+    @pytest.mark.parametrize("raw", ORDERS, ids=IDS)
+    def test_prune_keeps_every_term(self, raw):
+        # nothing can be judged small against a NaN top, and the NaN stays
+        got = prune(DiskExpr({**raw, (2, 0, 0): 1e-20}), 1e-12)
+        assert list(got.terms) == list(raw) + [(2, 0, 0)]
+        assert math.isnan(abs(got.terms[(1, 0, 0)]))
+
+    def test_finite_results_unchanged(self):
+        e = DiskExpr({(0, 0, 0): 1.0, (1, 0, 0): -3.0 + 4.0j, (2, 0, 0): 1e-15})
+        assert max_abs_coeff(e) == 5.0
+        assert max_abs_coeff(DiskExpr()) == 0.0
+        assert list(prune(e, 1e-12).terms) == [(0, 0, 0), (1, 0, 0)]
+        assert equal(e, DiskExpr({(2, 0, 0): 0.0, **e.terms}))
+
+
+class TestConstructorArguments:
+    def test_fraction_offset_stays_exact(self):
+        # k < 0 is allowed, and moves into the offset
+        e = DiskExpr({(0, 0, -1): Fraction(1, 2), (1, 0, 0): 1}, Fraction(1, 3))
+        assert e.base_offset == Fraction(-2, 3) and type(e.base_offset) is Fraction
+        assert e.terms == {(0, 0, 0): Fraction(1, 2), (1, 0, 1): 1}
+
+    @pytest.mark.parametrize("g", [float("inf"), float("nan"), "x", 1j, None],
+                             ids=["inf", "nan", "str", "complex", "none"])
+    def test_offset_must_be_finite_real(self, g):
+        with pytest.raises(DomainError):
+            DiskExpr({(0, 0, 0): 1.0}, g)
+
+    @pytest.mark.parametrize("terms", [
+        {(1, 0): 1}, {(1, 0, 0, 0): 1}, {(1.5, 0, 0): 1}, {(0, 0, 0.0): 1}, {"abc": 1},
+        {(1, 0, 0): "a"}, {(1, 0, 0): None}, [((0, 0, 0), 1)], 5,
+    ], ids=["pair-key", "four-key", "float-a", "float-k", "str-key", "str-coeff", "none-coeff",
+            "list", "int"])
+    def test_bad_terms_raise_domain_error(self, terms):
+        with pytest.raises(DomainError):
+            DiskExpr(terms)
+
+    @pytest.mark.parametrize("terms", [
+        {(np.int64(1), 0, 0): 1.0}, {(0, np.int32(2), np.int64(0)): 1.0}, {(True, 0, 0): 1.0},
+        {(1, 0, 0): np.float64(2.0)}, {(1, 0, 0): Decimal("2")},
+    ], ids=["int64-a", "int32-b-int64-k", "bool-a", "float64-coeff", "decimal-coeff"])
+    def test_other_integer_and_number_types_accepted(self, terms):
+        # numpy integers and bools are integers, and Decimal is a number
+        (key, c), = terms.items()
+        e = DiskExpr(terms)
+        assert e.terms == {tuple(map(int, key)): c}
+
+
+# The private builder must give what the public constructor gives for the
+# same raw dict.  Each producer below is run with a spy on _from_canonical
+# in every module that calls it; the spy keeps a copy of each raw dict, and
+# the producer's result must be the spy's last build.
+
+fraction_terms = st.dictionaries(keys, st.fractions(-4, 4, max_denominator=12), max_size=5)
+built = st.one_of(st.builds(DiskExpr, raw_terms, offsets),
+                  st.builds(DiskExpr, fraction_terms, offsets))
+scalars = st.one_of(st.sampled_from([0, 0.0, -0.0, 1, -1.0, 0.5]), coeffs,
+                    st.fractions(-4, 4, max_denominator=12))
+
+
+@contextmanager
+def _spied_builds():
+    calls = []
+    real = algebra._from_canonical
+
+    def spy(terms, g, into=None):
+        if into is not None:  # the public constructor's own build
+            return real(terms, g, into)
+        raw = dict(terms)
+        out = real(terms, g)
+        calls.append((raw, g, out))
+        return out
+
+    with mock.patch.object(algebra, "_from_canonical", spy), \
+            mock.patch.object(spectral, "_from_canonical", spy), \
+            mock.patch.object(zernike, "_from_canonical", spy):
+        yield calls
+
+
+def assert_private_path(produce):
+    with _spied_builds() as calls:
+        result = produce()
+    assert calls and result is calls[-1][2]
+    for raw, g, out in calls:
+        assert_same(out, DiskExpr(raw, g))
+
+
+@given(built, raw_terms, st.integers(-2, 2))
+@settings(max_examples=100, deadline=None)
+def test_private_add(e1, raw2, shift):
+    e2 = DiskExpr(raw2, e1.base_offset + shift)
+    assert_private_path(lambda: add(e1, e2))
+    # every coefficient cancels
+    assert_private_path(lambda: add(e1, scale(e1, -1)))
+    assert add(e1, scale(e1, -1)).terms == {}
+
+
+@given(built, scalars)
+@settings(max_examples=100, deadline=None)
+def test_private_scale(e, c):
+    assert_private_path(lambda: scale(e, c))
+
+
+@given(built, st.sampled_from([0.0, 1e-12, 0.3, 0.9]))
+@settings(max_examples=100, deadline=None)
+def test_private_prune(e, rel_tol):
+    assert_private_path(lambda: prune(e, rel_tol))
+
+
+@given(scalars.filter(bool), offsets, built)
+@settings(max_examples=100, deadline=None)
+def test_private_mul_by_lone_u_power(c, h, e):
+    lone = DiskExpr({(0, 0, 0): c}, h)
+    assert_private_path(lambda: mul(lone, e))
+
+
+@pytest.mark.parametrize("op", [spectral.nabla, spectral.nabla_star,
+                                spectral.magnetic_laplacian],
+                         ids=["nabla", "nabla_star", "magnetic_laplacian"])
+@given(e=built, nu=st.one_of(offsets, st.fractions(-4, 4, max_denominator=12)))
+@settings(max_examples=60, deadline=None)
+def test_private_spectral_operators(op, e, nu):
+    assert_private_path(lambda: op(nu, e))
+
+
+@given(st.integers(0, 12), st.integers(0, 12), st.sampled_from([-0.5, 0.0, 0.5, 1.75, 2.0]))
+@settings(max_examples=60, deadline=None)
+def test_private_zernike_exprs(m, n, g):
+    p = zernike.ZernikeParams(m, n, g)
+    assert_private_path(lambda: zernike.rodrigues_expr.__wrapped__(p))
+    assert_private_path(lambda: zernike.explicit_expr(p))
+    # the charge-line reduction against the constructor's, from the raw sum
+    raw = {(a, b, j): c for a, b, j, c in zernike._explicit_terms(m, n, g)}
+    assert_same(zernike.explicit_expr(p), DiskExpr(raw))
+
+
+@given(st.sampled_from([2.5, 4.2, 6.0, 9.75]), st.integers(0, 8), st.integers(0, 8))
+@settings(max_examples=30, deadline=None)
+def test_psi_start_matches_product(nu, m, n):
+    sp = spectral.SpectralParams(nu, min(m, math.ceil(nu - 0.5) - 1), n)
+    e = mul(DiskExpr.z_power(sp.n), DiskExpr.u_power(sp.nu - sp.m))
+    for j in range(sp.m, 0, -1):
+        e = spectral.nabla(sp.nu - j, e)
+    assert_same(spectral.psi.__wrapped__(sp), e)

@@ -62,10 +62,18 @@ def test_sources_parse_at_the_python_floor():
     (lambda: incomplete_beta([1], 1, 0.5), DomainError),
     (lambda: incomplete_beta(1, 1, np.array([0.5])), DomainError),
     (lambda: hermite(8, 8, 1e20 + 1e20j), NonConvergentError),
+    (lambda: DiskExpr({(1, 0): 1}), DomainError),
+    (lambda: DiskExpr([((0, 0, 0), 1)]), DomainError),
+    (lambda: DiskExpr({(1, 0, 0): "a"}), DomainError),
+    (lambda: DiskExpr({(1.5, 0, 0): 1}), DomainError),
+    (lambda: DiskExpr({(0, 0, 0): 1}, float("nan")), DomainError),
+    (lambda: DiskExpr({(0, 0, 0): 1}, "x"), DomainError),
 ], ids=["rho-str", "rho-none", "hyp2f1", "incomplete-beta", "jacobi-p-alpha", "jacobi-p-x",
         "pochhammer", "eval-expr-str", "eval-expr-numeric-str", "hermite-overflow",
         "jacobi-line-k", "closed-line-s-max", "closed-line-past-cap", "incomplete-beta-list",
-        "incomplete-beta-ndarray", "hermite-non-finite"])
+        "incomplete-beta-ndarray", "hermite-non-finite", "disk-expr-pair-key",
+        "disk-expr-list", "disk-expr-str-coeff", "disk-expr-float-key",
+        "disk-expr-nan-offset", "disk-expr-str-offset"])
 def test_bad_arguments_raise_package_errors(call, error):
     with pytest.raises(error):
         call()
