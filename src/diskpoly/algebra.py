@@ -306,10 +306,7 @@ def max_abs_coeff(e: DiskExpr) -> float:
 def prune(e: DiskExpr, rel_tol: float = 1e-12) -> DiskExpr:
     """Drop coefficients at or below rel_tol times the largest one.  NaN
     terms are kept, and so is every term when the largest is NaN."""
-    top = max_abs_coeff(e)
-    if top == 0.0:
-        return _from_canonical({}, 0)
-    cut = rel_tol * top
+    cut = rel_tol * max_abs_coeff(e)
     kept = {key: c for key, c in e.terms.items() if not abs(c) <= cut}
     return _from_canonical(kept, e.base_offset)
 

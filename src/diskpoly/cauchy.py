@@ -167,17 +167,19 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     The whole n_theta x n_r grid is built as one array, and ``f`` is
     called once, on a 1-D complex array of the grid points in the disk;
     it must broadcast, returning an array of that shape or a scalar (a
-    constant such as ``lambda w: 1.0`` works).
+    constant such as ``lambda w: 1.0`` works).  4 <= n_r <= 1024 and
+    8 <= n_theta <= 2048: the largest grid takes about 0.2 s and a 175 MB
+    peak.
     """
     gamma = _check_weight(gamma)
     z = _check_disk(z, strict=True)
-    n_theta = _check_count(n_theta, 8, "angular node count")
-    rule = gauss_legendre(_check_count(n_r, 4, "radial node count"))
-    tau = 0.5 * (rule.nodes + 1.0)
+    n_theta = _check_count(n_theta, 8, "angular node count", 2048)
+    nodes, weights = gauss_legendre(_check_count(n_r, 4, "radial node count", 1024))
+    tau = 0.5 * (nodes + 1.0)
     q = max(1, math.ceil(2.0 / (gamma + 1.0)))
     c = np.cos(0.5 * np.pi * tau)
-    radial = 0.5 * rule.weights * (q * np.pi * np.sin(0.5 * np.pi * tau)
-                                   * c ** (2.0 * q * (gamma + 1.0) - 1.0))
+    radial = 0.5 * weights * (q * np.pi * np.sin(0.5 * np.pi * tau)
+                              * c ** (2.0 * q * (gamma + 1.0) - 1.0))
     u0 = 1.0 - (z.real * z.real + z.imag * z.imag)
     phi = 2.0 * np.pi * np.arange(n_theta) / n_theta
     e = np.cos(phi) + 1j * np.sin(phi)

@@ -11,7 +11,6 @@ silently share code with the oracles used to test them.
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
 
@@ -26,7 +25,6 @@ __all__ = [
     "incomplete_beta",
     "gauss_legendre",
     "gauss_jacobi_radial",
-    "QuadratureRule",
 ]
 
 # Tolerance for detecting a nonpositive-integer parameter, i.e. a series
@@ -98,14 +96,17 @@ def _check_weight(g: float) -> float:
     return v
 
 
-def _check_count(n, least: int, what: str) -> int:
-    """Return n as an int; raise DomainError unless it is an integer >= least."""
+def _check_count(n, least: int, what: str, most: int | None = None) -> int:
+    """Return n as an int; raise DomainError unless it is an integer >= least
+    and, when ``most`` is given, <= most."""
     try:
         n = operator.index(n)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {n!r}") from None
     if n < least:
         raise DomainError(f"{what} must be at least {least}, got {n}")
+    if most is not None and n > most:
+        raise DomainError(f"{what} must be at most {most}, got {n}")
     return n
 
 
@@ -213,25 +214,6 @@ def jacobi_p(n: int, alpha: float, beta: float, x: float) -> float:
     return next(islice(_jacobi_ladder(alpha, beta, x), n, None))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for a fixed quadrature rule on an interval: nodes
-    strictly inside ``bounds``, weights positive."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    bounds: tuple[float, float]
-
-    def __post_init__(self):
-        if len(self.nodes) != len(self.weights) or len(self.nodes) == 0:
-            raise DomainError("quadrature rule needs matching, nonempty nodes and weights")
-        lo, hi = self.bounds
-        if not (np.all(self.nodes > lo) and np.all(self.nodes < hi)):
-            raise DomainError("interval rule has nodes outside its open interval")
-        if not np.all(self.weights > 0):
-            raise DomainError("interval rule has nonpositive weights")
-
-
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Legendre P_n and P_n' at the points x (|x| < 1)."""
     p0 = np.ones_like(x)
@@ -245,13 +227,16 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # typed, as is gauss_jacobi_radial's cache: a float count equal to a cached
 # int must reach the count check, not be served that int's rule
 @lru_cache(maxsize=64, typed=True)
-def gauss_legendre(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule on (-1, 1), exact for polynomials of degree 2n-1.
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on (-1, 1), exact for polynomials of degree 2n-1:
+    (nodes, weights), ascending, as read-only arrays shared by every caller
+    of the cached rule.  1 <= n <= 4096, where the O(n^2) Newton sweep
+    takes about 0.2 s.
 
     Nodes are found by Newton iteration from the Chebyshev-angle initial
     guesses; each root is polished to machine precision.
     """
-    n = _check_count(n, 1, "gauss_legendre node count")
+    n = _check_count(n, 1, "gauss_legendre node count", 4096)
     x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
     for _ in range(100):
         p, dp = _legendre_pair(n, x)
@@ -264,12 +249,16 @@ def gauss_legendre(n: int) -> QuadratureRule:
     p, dp = _legendre_pair(n, x)
     w = 2.0 / ((1 - x * x) * dp * dp)
     order = np.argsort(x)
-    return QuadratureRule(x[order], w[order], (-1.0, 1.0))
+    x, w = x[order], w[order]
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @lru_cache(maxsize=256, typed=True)
-def gauss_jacobi_radial(n: int, gamma: float) -> QuadratureRule:
-    """Gauss rule on (0, 1) for the weight (1 - t)^gamma dt, gamma > -1.
+def gauss_jacobi_radial(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule on (0, 1) for the weight (1 - t)^gamma dt, gamma > -1:
+    (nodes, weights), read-only as ``gauss_legendre``'s.  1 <= n <= 1024,
+    where the dense eigensolve takes about 0.2 s and a 75 MB peak.
 
     Built by the Golub-Welsch method: the symmetric tridiagonal matrix of
     the monic Jacobi (alpha=gamma, beta=0) recurrence is diagonalized by
@@ -277,7 +266,7 @@ def gauss_jacobi_radial(n: int, gamma: float) -> QuadratureRule:
     Total weight is the exact moment 1/(gamma + 1).  No route in the
     package calls it; ``inner_product`` sums exact beta moments instead.
     """
-    n = _check_count(n, 1, "gauss_jacobi_radial node count")
+    n = _check_count(n, 1, "gauss_jacobi_radial node count", 1024)
     g = _check_weight(gamma)
     diag = np.empty(n)
     diag[0] = -g / (g + 2)
@@ -291,7 +280,8 @@ def gauss_jacobi_radial(n: int, gamma: float) -> QuadratureRule:
     # contributes 2^(-g-1), leaving total mass 1/(g+1)
     w = v[0, :] ** 2 / (g + 1)
     t = (x + 1) / 2
-    return QuadratureRule(t, w, (0.0, 1.0))
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def _beta_complete(a: float, b: float) -> float:
@@ -329,8 +319,8 @@ def _beta_quad_check(a: float, b: float, x: float) -> float:
     lo, where 1 - lo is exact for lo >= 1/2: near the rim, 1 - t itself
     would keep little more than the rounding error of t.
     """
-    rule = gauss_legendre(32)
-    half = 0.5 * (rule.nodes + 1)
+    nodes, weights = gauss_legendre(32)
+    half = 0.5 * (nodes + 1)
 
     t0 = x * 2.0**-8
     head = _beta_series_head(a, b, t0)
@@ -342,7 +332,7 @@ def _beta_quad_check(a: float, b: float, x: float) -> float:
     lo, width = map(np.array, zip(*[(p, q - p) for p, q in zip(pts, pts[1:]) if q > p]))
     s = width[:, None] * half
     vals = (lo[:, None] + s) ** (a - 1) * ((1 - lo)[:, None] - s) ** (b - 1)
-    return head + float(width @ (vals @ rule.weights)) / 2
+    return head + float(width @ (vals @ weights)) / 2
 
 
 def _beta_closed(a: float, b: float, x: float) -> float:

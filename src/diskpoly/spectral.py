@@ -69,9 +69,7 @@ class SpectralParams:
         m = _check_count(self.m, 0, "level")
         if not m < nu - 0.5:
             raise DomainError(f"level {m} is not below the continuum for nu = {nu}")
-        n = _check_count(self.n, 0, "angular index")
-        if n > INDEX_CAP:
-            raise DomainError(f"angular index must lie in [0, {INDEX_CAP}], got {n}")
+        n = _check_count(self.n, 0, "angular index", INDEX_CAP)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -134,7 +132,10 @@ def gamma_equivalent(nu: float, m: int) -> float:
     return 2 * (nu - m) - 1
 
 
-# bounded: eigen_residual and bridge_pair each ask for the same level in turn
+# bounded; it serves the exact_gram benchmark, whose eigen_residual and
+# bridge_pair ask for each level in turn (646 of 1292 lookups hit).
+# suite_spectral walks its 45 eigen levels, then its 40 bridge levels, so
+# none of verify's 90 lookups hit.
 @lru_cache(maxsize=32)
 def psi(sp: SpectralParams) -> DiskExpr:
     """Level-m eigenfunction: m ladder steps up from z^n u^(nu - m).

@@ -28,7 +28,7 @@ from .cauchy import (
     cauchy_zernike_quad,
 )
 from .errors import DomainError, NonConvergentError
-from .numerics import _check_weight
+from .numerics import _check_count, _check_weight
 from .report import INFORMATIONAL, ReportRow, VerifyReport, checked_row, make_report
 from .sampling import Lcg64, disk_points
 from .spectral import (
@@ -295,19 +295,21 @@ SUITE_NAMES = tuple(sorted(SUITES)) + ("all",)
 
 def run_suite(name: str, max_mn: int = 4, gammas=DEFAULT_GAMMAS,
               seed: int = DEFAULT_SEED) -> VerifyReport:
-    """Build the named suite's report (or every suite under "all")."""
-    if max_mn < 0 or max_mn > 8:
-        raise DomainError(f"max_mn must lie in 0..8, got {max_mn}")
-    gammas = tuple(float(g) for g in gammas)
+    """Build the named suite's report (or every suite under "all").  max_mn
+    is an integer in 0..8, gammas an iterable of weight exponents, and seed
+    any integer; anything else raises DomainError."""
+    max_mn = _check_count(max_mn, 0, "max_mn", 8)
+    try:
+        gammas = tuple(map(_check_weight, gammas))
+    except TypeError:  # not iterable
+        raise DomainError(f"gammas must be an iterable of weight exponents, "
+                          f"got {gammas!r}") from None
     if not gammas:
         raise DomainError("need at least one weight exponent")
-    for g in gammas:
-        _check_weight(g)
-    if name == "all":
-        rows = []
-        for key in sorted(SUITES):
-            rows.extend(SUITES[key](max_mn, gammas, seed))
-        return make_report("all", rows)
-    if name not in SUITES:
+    seed = _check_count(seed, -math.inf, "seed")
+    if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}")
-    return make_report(name, SUITES[name](max_mn, gammas, seed))
+    rows = []
+    for key in sorted(SUITES) if name == "all" else (name,):
+        rows.extend(SUITES[key](max_mn, gammas, seed))
+    return make_report(name, rows)

@@ -4,11 +4,12 @@ The two-index family treated here is orthogonal on the unit disk for the
 radial weight (1 - |z|^2)^gamma, gamma > -1.  Each member is a polynomial
 in z and conj(z) of bidegree (n, m).  The routes implemented:
 
-  explicit   direct double-factorial sum (the reference route)
+  explicit   direct double-factorial sum (the suites' referee)
   gauss1     terminating hypergeometric series in 1 - 1/|z|^2
   gauss2     terminating hypergeometric series in 1/|z|^2
   jacobi     radial Jacobi polynomial times an angular monomial
-  rodrigues  exact Wirtinger differentiation of the weight
+  rodrigues  exact Wirtinger differentiation of the weight, summed over
+             ints and rounded once: the correctly rounded value
   contour    boundary integral evaluated by the trapezoid rule
 
 They share no intermediate code beyond the Pochhammer symbol, so mutual
@@ -145,7 +146,9 @@ def _scaled_terms(m: int, n: int, f: list) -> list:
 
 
 def eval_explicit(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
-    """Reference route: the finite double-index sum.
+    """The finite double-index sum: the route the suites referee the
+    others against.  It is not the correctly rounded value; that is
+    ``eval_rodrigues``.
 
     Term j carries the integer coefficient C(m,j) C(n,j) j! times a
     Pochhammer factor, which keeps every term well-scaled for indices up
@@ -233,8 +236,8 @@ def jacobi_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int,
         yield _jacobi_prefactor(s, k, gamma) * ang * rung
 
 
-# Cached for eval_rodrigues.  rodrigues_expr, which caches its rounded
-# result, calls the uncached __wrapped__, so its builds hold no ints.
+# Cached for eval_rodrigues.  rodrigues_expr calls the uncached
+# __wrapped__, so its builds hold no ints.
 @lru_cache(maxsize=1024)
 def _rodrigues_ints(m: int, n: int, g: float) -> tuple[int, tuple, int]:
     """(a, c, den): the member (m, n) at gamma = g is z^a (conj(z)^-a for
@@ -276,7 +279,6 @@ def _rodrigues_ints(m: int, n: int, g: float) -> tuple[int, tuple, int]:
     return a, tuple(c), (-1) ** (m + n) * Q ** (m + n)
 
 
-@lru_cache(maxsize=1024)
 def rodrigues_expr(p: ZernikeParams) -> DiskExpr:
     """Exact expression (-1)^(m+n) u^(-gamma) d_z^m d_zbar^n u^(gamma+m+n).
 
@@ -285,8 +287,9 @@ def rodrigues_expr(p: ZernikeParams) -> DiskExpr:
     is a polynomial: int base offset zero, nonnegative u-powers.  The cost
     grows with the bit lengths of P and Q: at (64, 64) a build takes about
     1 ms at gamma = 0.5, but 0.9 s at gamma = 5e-324 (Q = 2^1074) and
-    0.6 s at gamma = 1e300, which then overflows.  Raises
-    NonConvergentError when a coefficient overflows a float.
+    0.6 s at gamma = 1e300, which then overflows.  Not cached: every call
+    builds.  Raises NonConvergentError when a coefficient overflows a
+    float.
     """
     m, n, g = p.m, p.n, p.gamma
     a, c, den = _rodrigues_ints.__wrapped__(m, n, g)
@@ -444,14 +447,6 @@ def _pass_sums(m: int, gamma: float, ns, zs: np.ndarray, n_nodes: int, odd: bool
     return sums, moduli
 
 
-def _check_nodes(n_nodes: int) -> int:
-    """Return the fixed rule's node count as an int in [16, MAX_NODES]."""
-    n_nodes = _check_count(n_nodes, 16, "contour node count")
-    if n_nodes > MAX_NODES:
-        raise DomainError(f"contour node count must be at most {MAX_NODES}, got {n_nodes}")
-    return n_nodes
-
-
 def _shaped(values: np.ndarray, z: complex | np.ndarray) -> complex | np.ndarray:
     """The values in the shape of the input: a complex for a scalar z."""
     return values.reshape(z.shape) if isinstance(z, np.ndarray) else complex(values[0])
@@ -566,7 +561,7 @@ def contour_row(m: int, gamma: float, z: complex | np.ndarray, n_max: int,
     gamma = _check_weight(gamma)
     z = _check_disk(z, strict=True, arrays=True)
     if n_nodes is not None:
-        n_nodes = _check_nodes(n_nodes)
+        n_nodes = _check_count(n_nodes, 16, "contour node count", MAX_NODES)
     return _contour_row(m, gamma, range(n_max + 1), z, n_nodes)
 
 
@@ -579,13 +574,14 @@ def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> com
     (z - t)^-(m+1) when m is much larger than n.  Then the value is
     finite but wrong, with no error: at (2, 2), gamma = 30,
     z = 0.6885+0.5798i it is 7.7e16 + 1.3e17i for 708612.41 (ROADMAP
-    items 2-3).
+    items 1 and 5).
     ``z`` may be a scalar or an ndarray, as for ``eval_explicit``;
     ``n_nodes`` lies in [16, MAX_NODES].  This is the one-member case of
     ``contour_row``.
     """
     z = _check_disk(z, strict=True, arrays=True)
-    return _member(_contour_row(p.m, p.gamma, (p.n,), z, _check_nodes(n_nodes)))
+    n_nodes = _check_count(n_nodes, 16, "contour node count", MAX_NODES)
+    return _member(_contour_row(p.m, p.gamma, (p.n,), z, n_nodes))
 
 
 def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
@@ -638,10 +634,9 @@ def monomial_coeffs(p: ZernikeParams) -> dict[tuple[int, int], float]:
     charge line a - b = n - m."""
     out: dict[tuple[int, int], float] = {}
     for a, b, j, tj in _explicit_terms(p.m, p.n, p.gamma):
-        for i in range(j + 1):
+        for i, binom, sign in _signed_binomials(j):
             key = (a + i, b + i)
-            c = out.get(key, 0.0) + tj * comb(j, i) * (-1) ** i
-            out[key] = c
+            out[key] = out.get(key, 0.0) + tj * binom * sign
     return {key: c for key, c in out.items() if c != 0.0}
 
 

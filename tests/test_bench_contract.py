@@ -1,29 +1,34 @@
-"""The names the traced benchmark run wraps must exist in the package.
+"""The names the traced benchmark run wraps must exist in the package,
+and each benchmark workload's output check must pass.
 
 ``bench/spans.py`` patches package functions by name from the outside, so
 a rename or a dropped cache there would only surface in a traced
 benchmark run; this test loads its name tables and checks them here, and
-runs one small traced pass of the exact layer.
+runs one small traced pass of the exact layer.  ``bench/workloads.py`` is
+loaded the same way, and each workload's prepare, run and check steps run
+in this process, as one benchmark pass runs them in its own.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from diskpoly import algebra, spectral, zernike
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("_bench_spans", SPANS_PATH)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location("_bench_" + name, BENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
 def test_spanned_and_counted_names_exist():
-    spans = _load_spans()
+    spans = _load("spans")
     for table in (spans.SPANNED, spans.COUNTED):
         for short, names in table.items():
             mod = importlib.import_module("diskpoly." + short)
@@ -32,7 +37,7 @@ def test_spanned_and_counted_names_exist():
 
 
 def test_cached_names_expose_cache_info():
-    spans = _load_spans()
+    spans = _load("spans")
     for short, names in spans.CACHED.items():
         mod = importlib.import_module("diskpoly." + short)
         for name in names:
@@ -73,11 +78,10 @@ def _exact_pass():
 
 def _clear_caches():
     spectral.psi.cache_clear()
-    zernike.rodrigues_expr.cache_clear()
 
 
 def test_traced_exact_pass_matches_untraced():
-    spans = _load_spans()
+    spans = _load("spans")
     originals = (spectral.nabla, zernike.explicit_expr, algebra.DiskExpr.__init__)
     _clear_caches()
     plain = _exact_pass()
@@ -94,3 +98,19 @@ def test_traced_exact_pass_matches_untraced():
     for name in ("spectral.nabla", "zernike.explicit_expr", "zernike.rodrigues_expr",
                  "spectral.psi"):
         assert per[name]["calls"] > 0, name
+
+
+@pytest.mark.parametrize("workload, seed", [
+    ("verify_all", 1), ("verify_all", 2), ("table_grid", 1), ("table_grid", 2),
+    ("exact_gram", 1), ("exact_gram", 2),
+    # ROADMAP item 4: hermite_limit_monotone fails at this seed on correct
+    # code, and so the pass exits 1; 2 of 5317 checks fail
+    pytest.param("verify_all", 625, marks=pytest.mark.xfail(
+        strict=True, reason="hermite_limit_monotone at seed 625 (ROADMAP item 4)")),
+])
+def test_workload_output_check_passes(workload, seed, tmp_path):
+    w = _load("workloads").WORKLOADS[workload]
+    inp = w.prepare(seed, str(tmp_path))
+    attempted, failed, _digest = w.check(inp, w.run(inp), 0)
+    assert attempted > 0
+    assert failed == 0, f"{failed} of {attempted} checks failed"

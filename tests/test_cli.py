@@ -153,6 +153,14 @@ class TestSuites:
         with pytest.raises(DomainError):
             run_suite("routes", gammas=(-2.0,))
 
+    def test_any_integer_seed(self):
+        for seed in (-1, 2**70, np.int64(7)):
+            assert run_suite("hermite", max_mn=1, seed=seed).rows
+
+    def test_max_mn_past_the_cap_is_one_error_line(self, capsys):
+        assert main(["verify", "--suite", "all", "--max-mn", "9"]) == 3
+        assert capsys.readouterr().err == "ERROR 3: max_mn must be at most 8, got 9\n"
+
 
 class TestEval:
     def test_single_route(self, capsys):

@@ -20,7 +20,6 @@ from diskpoly import numerics
 from diskpoly.cli import main
 from diskpoly.errors import DomainError, NonConvergentError, PoleAtCError
 from diskpoly.numerics import (
-    QuadratureRule,
     _hyp2f1_terms,
     gauss_jacobi_radial,
     gauss_legendre,
@@ -331,29 +330,29 @@ class TestIncompleteBeta:
 
 class TestGaussLegendre:
     def test_tiny_rules(self):
-        r1 = gauss_legendre(1)
-        assert r1.nodes == pytest.approx([0.0], abs=1e-16)
-        assert r1.weights == pytest.approx([2.0], rel=1e-15)
-        r2 = gauss_legendre(2)
-        assert r2.nodes == pytest.approx([-0.5773502691896258, 0.5773502691896258], rel=1e-14)
-        assert r2.weights == pytest.approx([1.0, 1.0], rel=1e-14)
+        x1, w1 = gauss_legendre(1)
+        assert x1 == pytest.approx([0.0], abs=1e-16)
+        assert w1 == pytest.approx([2.0], rel=1e-15)
+        x2, w2 = gauss_legendre(2)
+        assert x2 == pytest.approx([-0.5773502691896258, 0.5773502691896258], rel=1e-14)
+        assert w2 == pytest.approx([1.0, 1.0], rel=1e-14)
 
     def test_exactness_class(self):
         rng = np.random.default_rng(11)
         for n in (1, 2, 3, 5, 8, 32):
-            rule = gauss_legendre(n)
+            nodes, weights = gauss_legendre(n)
             for _ in range(10):
                 coeffs = rng.uniform(-1, 1, size=2 * n)
                 exact = sum(c * (2.0 / (k + 1)) for k, c in enumerate(coeffs) if k % 2 == 0)
-                got = np.sum(rule.weights * np.polynomial.polynomial.polyval(rule.nodes, coeffs))
+                got = np.sum(weights * np.polynomial.polynomial.polyval(nodes, coeffs))
                 scale = max(abs(exact), float(np.sum(np.abs(coeffs))))
                 assert abs(got - exact) <= 1e-13 * scale
 
     def test_matches_scipy_nodes(self):
-        rule = gauss_legendre(64)
+        nodes, weights = gauss_legendre(64)
         want_x, want_w = special.roots_legendre(64)
-        assert np.max(np.abs(rule.nodes - want_x)) < 1e-14
-        assert np.max(np.abs(rule.weights - want_w)) < 1e-14
+        assert np.max(np.abs(nodes - want_x)) < 1e-14
+        assert np.max(np.abs(weights - want_w)) < 1e-14
 
     def test_rejects_bad_order(self):
         with pytest.raises(DomainError):
@@ -363,34 +362,34 @@ class TestGaussLegendre:
 class TestGaussJacobiRadial:
     def test_total_mass(self):
         for gamma in (-0.5, 0.0, 1.0, 2.5):
-            rule = gauss_jacobi_radial(12, gamma)
-            assert float(np.sum(rule.weights)) == pytest.approx(1 / (gamma + 1), rel=1e-13)
+            _, weights = gauss_jacobi_radial(12, gamma)
+            assert float(np.sum(weights)) == pytest.approx(1 / (gamma + 1), rel=1e-13)
 
     def test_moment_exactness(self):
         # int_0^1 t^i (1-t)^gamma dt = i! / (gamma+1)_(i+1)
         for gamma in (-0.5, 0.0, 2.5):
             for n in (1, 3, 8, 20):
-                rule = gauss_jacobi_radial(n, gamma)
+                nodes, weights = gauss_jacobi_radial(n, gamma)
                 for i in range(2 * n):
                     exact = math.factorial(i) / pochhammer(gamma + 1, i + 1)
-                    got = float(np.sum(rule.weights * rule.nodes**i))
+                    got = float(np.sum(weights * nodes**i))
                     assert abs(got - exact) <= 1e-13 * max(exact, 1.0), (gamma, n, i)
 
     def test_matches_scipy_rule(self):
         gamma = 0.75
-        rule = gauss_jacobi_radial(24, gamma)
+        nodes, weights = gauss_jacobi_radial(24, gamma)
         x, w = special.roots_jacobi(24, gamma, 0.0)
-        assert np.max(np.abs(rule.nodes - (x + 1) / 2)) < 1e-13
-        assert np.max(np.abs(rule.weights - w * 2.0 ** (-gamma - 1))) < 1e-14
+        assert np.max(np.abs(nodes - (x + 1) / 2)) < 1e-13
+        assert np.max(np.abs(weights - w * 2.0 ** (-gamma - 1))) < 1e-14
 
     @pytest.mark.parametrize("n", [12, 24])
     @pytest.mark.parametrize("gamma", [-0.99, -0.5, 30.0, 200.0])
     def test_matches_scipy_rule_extreme_weights(self, n, gamma):
-        rule = gauss_jacobi_radial(n, gamma)
+        nodes, weights = gauss_jacobi_radial(n, gamma)
         x, w = special.roots_jacobi(n, gamma, 0.0)
         w = w * 2.0 ** (-gamma - 1)
-        assert np.max(np.abs(rule.nodes - (x + 1) / 2)) <= 1e-14
-        assert np.max(np.abs(rule.weights - w)) <= 1e-11 * np.max(w)
+        assert np.max(np.abs(nodes - (x + 1) / 2)) <= 1e-14
+        assert np.max(np.abs(weights - w)) <= 1e-11 * np.max(w)
 
     def test_domain_guards(self):
         with pytest.raises(DomainError):
@@ -419,18 +418,26 @@ class TestGaussJacobiRadial:
         assert proc.stdout.strip() == "[]"
 
 
-class TestQuadratureRuleType:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            QuadratureRule(np.array([0.0, 0.5]), np.array([1.0]), (-1.0, 1.0))
+class TestRulesAreReadOnly:
+    """A cached rule's arrays are shared by every caller, so they are
+    locked: a write into the 32-point Legendre weights would otherwise make
+    every later incomplete_beta self-check fail."""
 
-    def test_nodes_outside_interval_rejected(self):
-        with pytest.raises(DomainError):
-            QuadratureRule(np.array([-2.0]), np.array([1.0]), (-1.0, 1.0))
+    @pytest.mark.parametrize("rule", [lambda: gauss_legendre(32),
+                                      lambda: gauss_jacobi_radial(8, 0.5)],
+                             ids=["legendre", "jacobi-radial"])
+    def test_arrays_are_read_only(self, rule):
+        for array in rule():
+            with pytest.raises(ValueError):
+                array[:] = 0.0
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(DomainError):
-            QuadratureRule(np.array([0.0]), np.array([-1.0]), (-1.0, 1.0))
+    def test_incomplete_beta_after_a_refused_write(self):
+        _, weights = gauss_legendre(32)
+        with pytest.raises(ValueError):
+            weights[:] = 0.0
+        incomplete_beta.cache_clear()
+        want = special.betainc(2.5, 1.5, 0.3) * special.beta(2.5, 1.5)
+        assert incomplete_beta(2.5, 1.5, 0.3) == pytest.approx(want, rel=1e-13)
 
 
 class TestNodeCounts:
@@ -451,11 +458,9 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize("n", [np.int64(8), np.int32(8)])
     def test_numpy_integers_accepted(self, n):
-        assert np.array_equal(gauss_legendre(n).nodes, gauss_legendre(8).nodes)
-        assert np.array_equal(gauss_legendre(n).weights, gauss_legendre(8).weights)
-        want = gauss_jacobi_radial(8, 0.5)
-        got = gauss_jacobi_radial(n, 0.5)
-        assert np.array_equal(got.nodes, want.nodes)
-        assert np.array_equal(got.weights, want.weights)
+        for got, want in [(gauss_legendre(n), gauss_legendre(8)),
+                          (gauss_jacobi_radial(n, 0.5), gauss_jacobi_radial(8, 0.5))]:
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
         assert pochhammer(1.5, n).hex() == pochhammer(1.5, 8).hex()
         assert jacobi_p(n, 0.5, 1.5, 0.1).hex() == jacobi_p(8, 0.5, 1.5, 0.1).hex()

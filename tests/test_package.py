@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import diskpoly
-from diskpoly import (DiskExpr, DomainError, NonConvergentError, cauchy_closed_line, eval_expr,
-                      hermite, hermite_limit_error, hyp2f1, incomplete_beta, jacobi_line,
-                      jacobi_p, pochhammer)
+from diskpoly import (DiskExpr, DomainError, NonConvergentError, cauchy_closed_line,
+                      cauchy_direct_2d, eval_expr, gauss_jacobi_radial, gauss_legendre, hermite,
+                      hermite_limit_error, hyp2f1, incomplete_beta, jacobi_line, jacobi_p,
+                      pochhammer)
+from diskpoly.suites import run_suite
 
 MODULES = ("errors", "numerics", "algebra", "zernike", "spectral", "cauchy")
 
@@ -68,12 +70,27 @@ def test_sources_parse_at_the_python_floor():
     (lambda: DiskExpr({(1.5, 0, 0): 1}), DomainError),
     (lambda: DiskExpr({(0, 0, 0): 1}, float("nan")), DomainError),
     (lambda: DiskExpr({(0, 0, 0): 1}, "x"), DomainError),
+    # one past each size cap: the count check raises before any allocation
+    (lambda: gauss_legendre(4097), DomainError),
+    (lambda: gauss_jacobi_radial(1025, 0.5), DomainError),
+    (lambda: cauchy_direct_2d(lambda w: 1.0, 0.5, 0.3, n_r=1025), DomainError),
+    (lambda: cauchy_direct_2d(lambda w: 1.0, 0.5, 0.3, n_theta=2049), DomainError),
+    (lambda: run_suite("hermite", 2.5), DomainError),
+    (lambda: run_suite("hermite", "8"), DomainError),
+    (lambda: run_suite("hermite", 1, gammas=("x",)), DomainError),
+    (lambda: run_suite("hermite", 1, gammas=0.5), DomainError),
+    (lambda: run_suite("hermite", 1, seed="a"), DomainError),
+    (lambda: run_suite("hermite", 1, seed=1.5), DomainError),
+    (lambda: run_suite(["hermite"], 1), DomainError),
 ], ids=["rho-str", "rho-none", "hyp2f1", "incomplete-beta", "jacobi-p-alpha", "jacobi-p-x",
         "pochhammer", "eval-expr-str", "eval-expr-numeric-str", "hermite-overflow",
         "jacobi-line-k", "closed-line-s-max", "closed-line-past-cap", "incomplete-beta-list",
         "incomplete-beta-ndarray", "hermite-non-finite", "disk-expr-pair-key",
         "disk-expr-list", "disk-expr-str-coeff", "disk-expr-float-key",
-        "disk-expr-nan-offset", "disk-expr-str-offset"])
+        "disk-expr-nan-offset", "disk-expr-str-offset", "legendre-past-cap",
+        "jacobi-radial-past-cap", "direct-2d-radial-past-cap", "direct-2d-angular-past-cap",
+        "suite-max-mn-float", "suite-max-mn-str", "suite-gamma-str", "suite-gammas-float",
+        "suite-seed-str", "suite-seed-float", "suite-name-list"])
 def test_bad_arguments_raise_package_errors(call, error):
     with pytest.raises(error):
         call()

@@ -867,7 +867,7 @@ class TestRodriguesExpr:
     def test_matches_generic_derivative_chain(self, g):
         # the charge-line recursion against algebra's generic Wirtinger
         # derivatives, d_zbar^n then d_z^m, exactly over Fractions; the
-        # uncached recursion runs on a stand-in that carries the Fraction
+        # recursion runs on a stand-in that carries the Fraction
         # gamma (7/3 gives a scale Q that is not a power of 2), and each
         # of its float coefficients must be the exact one, correctly rounded
         for m in range(7):
@@ -877,7 +877,7 @@ class TestRodriguesExpr:
                     e = algebra.d_zbar(e)
                 for _ in range(m):
                     e = algebra.d_z(e)
-                r = rodrigues_expr.__wrapped__(SimpleNamespace(m=m, n=n, gamma=g))
+                r = rodrigues_expr(SimpleNamespace(m=m, n=n, gamma=g))
                 assert e.base_offset == g and r.base_offset == 0, (m, n, g)
                 assert r.terms.keys() == e.terms.keys(), (m, n, g)
                 sign = (-1) ** (m + n)
@@ -957,7 +957,7 @@ class TestRodriguesExact:
     def test_ints_cached_for_the_route_only(self):
         # rodrigues_expr's builds would hold the ints twice
         zernike._rodrigues_ints.cache_clear()
-        rodrigues_expr.__wrapped__(ZernikeParams(5, 4, 0.3))
+        rodrigues_expr(ZernikeParams(5, 4, 0.3))
         assert zernike._rodrigues_ints.cache_info().currsize == 0
         eval_rodrigues(ZernikeParams(5, 4, 0.3), 0.2)
         eval_rodrigues(ZernikeParams(5, 4, 0.3), 0.4j)
