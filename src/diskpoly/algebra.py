@@ -294,13 +294,19 @@ def equal(e1: DiskExpr, e2: DiskExpr, tol: float = 0.0) -> bool:
     return True
 
 
+def _max_or_nan(values) -> float:
+    """The largest of values, each >= 0 or NaN: NaN if any is NaN, and 0.0
+    if there are none."""
+    values = list(values)
+    # max skips a NaN that follows a number; a sum of values, all >= 0, is
+    # NaN exactly when one of them is
+    total = sum(values)
+    return total if total != total else max(values, default=0.0)
+
+
 def max_abs_coeff(e: DiskExpr) -> float:
     """The largest coefficient modulus, or NaN if any modulus is NaN."""
-    mods = list(map(abs, e.terms.values()))
-    # max skips a NaN that follows a number; a sum of moduli, all >= 0, is
-    # NaN exactly when one of them is
-    total = sum(mods)
-    return total if total != total else max(mods, default=0.0)
+    return _max_or_nan(map(abs, e.terms.values()))
 
 
 def prune(e: DiskExpr, rel_tol: float = 1e-12) -> DiskExpr:

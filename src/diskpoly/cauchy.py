@@ -102,13 +102,13 @@ def cauchy_closed_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int
     ``zernike.jacobi_line(k - 1, gamma + 1, z, s_max, s_min)``, and
     between two members it holds that line's state and the weight.  ``z``
     may be a scalar or an ndarray of points in the closed disk.  Before
-    the line is shifted k is checked as an integer, and s_min and s_max as
-    indices with s_max + k <= INDEX_CAP, the top member's n.
+    the line is shifted, k is checked as an integer, s_min and s_max as
+    indices, and the top member (s_max + max(1 - k, 0), s_max + max(k, 1))
+    against INDEX_CAP, so an error names the caller's member.
     """
     k = _check_count(k, 1 - INDEX_CAP, "line charge k")
     s_min, s_max = _check_indices(s_min, s_max)
-    if s_max + k > INDEX_CAP:
-        raise DomainError(f"indices must lie in [0, {INDEX_CAP}], got ({s_max}, {s_max + k})")
+    _check_indices(s_max + max(1 - k, 0), s_max + max(k, 1))
     gamma = _check_weight(gamma)
     z = _check_disk(z, arrays=True)
     u = 1.0 - (z.real * z.real + z.imag * z.imag)
@@ -145,6 +145,8 @@ def cauchy_zernike_quad(p: ZernikeParams, z: complex) -> complex:
                for a, b, j, c in _explicit_terms(p.m, p.n, p.gamma))
 
 
+# numpy's float errors are ignored: an overflow shows as a non-finite value
+@np.errstate(all="ignore")
 def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
                      n_theta: int = 256) -> complex:
     """Brute-force oracle: 2D quadrature in polar coordinates centred at z.

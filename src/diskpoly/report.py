@@ -4,12 +4,14 @@ A report is a flat list of rows, one identity check each, plus pass/fail
 counts.  Serialization is fully deterministic: rows are sorted by
 (identity, params), floats are written with 17 significant digits, and
 there are no timestamps, so two runs with the same flags produce
-byte-identical files.
+byte-identical files.  JSON has no NaN or infinity, so there a row's
+non-finite error is null; CSV writes nan or inf.  Such a row fails.
 """
 
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -70,10 +72,10 @@ def to_json(report: VerifyReport) -> str:
     out = io.StringIO()
     out.write('{\n  "suite": %s,\n  "rows": [\n' % json.dumps(report.suite))
     for i, r in enumerate(report.rows):
+        err = _f17(r.max_error) if math.isfinite(r.max_error) else "null"
         out.write('    {"identity": %s, "params": %s, "max_error": %s, '
                   '"tolerance": %s, "pass": %s}%s\n'
-                  % (json.dumps(r.identity), json.dumps(r.params),
-                     _f17(r.max_error), _f17(r.tolerance),
+                  % (json.dumps(r.identity), json.dumps(r.params), err, _f17(r.tolerance),
                      "true" if r.passed else "false",
                      "," if i + 1 < len(report.rows) else ""))
     out.write('  ],\n  "summary": {"pass": %d, "fail": %d}\n}\n'

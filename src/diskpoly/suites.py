@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .algebra import add, max_abs_coeff, scale
+from .algebra import _max_or_nan, add, max_abs_coeff, scale
 from .cauchy import (
     cauchy_direct_2d,
     cauchy_monomial_2f1,
@@ -62,8 +62,8 @@ def normalized_deviation(a: complex, b: complex, s_param: float) -> float:
 
 def _worst(values, ref, s: float) -> float:
     """Largest normalized deviation of a row's values from its reference
-    values, taken point by point in order."""
-    return max(normalized_deviation(a, b, s) for a, b in zip(values, ref, strict=True))
+    values, taken point by point in order; NaN if any deviation is NaN."""
+    return _max_or_nan(normalized_deviation(a, b, s) for a, b in zip(values, ref, strict=True))
 
 
 def _grid(max_mn: int, gammas):
@@ -242,7 +242,7 @@ def suite_spectral(max_mn: int, gammas, seed: int) -> list[ReportRow]:
     for i in range(50):
         nu = (1.0, 2.5, 6.0)[i % 3]
         e = _random_expr(rng)
-        err = max(factorization_residuals(nu, e))
+        err = _max_or_nan(factorization_residuals(nu, e))
         rows.append(checked_row("ladder_factorization", f"i={i:02d} nu={nu:g}",
                                 err, 1e-10))
 
@@ -267,7 +267,7 @@ def suite_hermite(max_mn: int, gammas, seed: int) -> list[ReportRow]:
             if errs[0] == 0.0 and errs[1] == 0.0 and errs[2] == 0.0:
                 ratio = 0.0
             elif errs[0] > 0.0 and errs[1] > 0.0:
-                ratio = max(errs[1] / errs[0], errs[2] / errs[1])
+                ratio = _max_or_nan((errs[1] / errs[0], errs[2] / errs[1]))
             else:
                 ratio = INFORMATIONAL
             rows.append(checked_row("hermite_limit_monotone", f"m={m} n={n}",

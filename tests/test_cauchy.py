@@ -7,6 +7,7 @@ nothing about the algebra.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,14 @@ def test_direct_2d_simple():
     v = cauchy_direct_2d(lambda w: 1.0, 0.0, 0.5 + 0j, 64, 256)
     assert abs(v - (-0.5)) <= 1e-8
     assert cauchy_direct_2d(lambda w: 0.0, 0.0, 0.5 + 0j, 16, 32) == 0j
+
+
+def test_direct_2d_overflow_warns_nothing():
+    # the weight power overflows at this gamma; the value is not finite,
+    # and no numpy warning escapes (pytest turns one into an error)
+    p = ZernikeParams(2, 1, 1e100)
+    v = cauchy_direct_2d(lambda w: eval_explicit(p, w), 1e100, Z0, 16, 32)
+    assert not cmath.isfinite(v)
 
 
 def test_direct_2d_calls_f_once():
@@ -509,6 +518,15 @@ class TestClosedArrays:
                     assert len(tail) == 8 - s_min
                     for s, v in enumerate(tail, s_min):
                         assert self._same_bits(v, line[s]), (k, s_min, s)
+
+    # the transform's top member (s_max + max(1 - k, 0), s_max + max(k, 1));
+    # the shifted line's top member is one n lower on the line k - 1
+    @pytest.mark.parametrize("k, s_max, top", [(-3, 61, "(65, 62)"), (0, 64, "(65, 65)"),
+                                               (1, 64, "(64, 65)")])
+    def test_line_cap_error_names_the_member(self, k, s_max, top):
+        with pytest.raises(DomainError, match=rf"must lie in \[0, 64\], got {re.escape(top)}$"):
+            next(cauchy_closed_line(k, 0.5, 0.3, s_max))
+        assert np.isfinite(next(cauchy_closed_line(k, 0.5, 0.3, s_max - 1, s_max - 1)))
 
     def test_n_zero_array_elementwise(self):
         # at n = 0 the array result is the scalar results, bit for bit, in

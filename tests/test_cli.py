@@ -40,7 +40,8 @@ from diskpoly.report import (
     to_csv,
     to_json,
 )
-from diskpoly.suites import normalized_deviation, run_suite
+from diskpoly import suites, zernike
+from diskpoly.suites import DEFAULT_GAMMAS, normalized_deviation, run_suite
 
 
 class TestReport:
@@ -71,6 +72,15 @@ class TestReport:
         assert row["max_error"] == 1.0 / 3.0
         assert "0.33333333333333331" in to_json(rep)
 
+    def test_non_finite_error_is_json_null(self):
+        # JSON has no NaN or infinity; CSV keeps them, and the rows fail
+        rep = make_report("demo", [checked_row("x", "a", math.nan, 1e-9),
+                                   checked_row("x", "b", math.inf, INFORMATIONAL)])
+        doc = json.loads(to_json(rep), parse_constant=_no_constant)
+        assert [row["max_error"] for row in doc["rows"]] == [None, None]
+        assert doc["summary"] == {"pass": 0, "fail": 2}
+        assert [row[2] for row in csv.reader(io.StringIO(to_csv(rep)))][1:3] == ["nan", "inf"]
+
     def test_csv_shape(self):
         rep = make_report("demo", [checked_row("x", "p, with comma", 0.0, 1e-9)])
         rows = list(csv.reader(io.StringIO(to_csv(rep))))
@@ -92,6 +102,36 @@ class TestSuites:
         assert normalized_deviation(2.0, 1.0, 1.0) == 0.5
         # parameter-scale floor kicks in near a zero of the function
         assert normalized_deviation(1e-13, 0.0, 1.0) == pytest.approx(1e-12)
+
+    def test_worst_propagates_nan(self):
+        assert math.isnan(suites._worst([1.0, math.nan], [1.0, 1.0], 1.0))
+        assert suites._worst([1.0, 2.0], [1.0, 1.0], 1.0) == 0.5
+
+    def test_nan_route_value_fails_its_row(self, monkeypatch):
+        # NaN at the second of the member's points, after a finite deviation
+        calls = []
+
+        def second_is_nan(p, z):
+            calls.append(z)
+            return math.nan if len(calls) % 6 == 2 else zernike.eval_gauss1(p, z)
+
+        monkeypatch.setitem(zernike.ROUTES, "gauss1", second_is_nan)
+        rows = run_suite("routes", 0).rows
+        failed = {(r.identity, math.isnan(r.max_error)) for r in rows if not r.passed}
+        assert failed == {("gauss1_vs_explicit", True)}
+        assert sum(not r.passed for r in rows) == len(DEFAULT_GAMMAS)
+
+    @pytest.mark.parametrize("suite, name, fake, identity", [
+        ("spectral", "factorization_residuals", lambda nu, e: (0.0, math.nan),
+         "ladder_factorization"),
+        ("hermite", "hermite_limit_error",
+         lambda m, n, z, rho: {10.0: 1e-2, 100.0: 1e-4, 1000.0: math.nan}[rho],
+         "hermite_limit_monotone"),
+    ], ids=["spectral", "hermite"])
+    def test_nan_after_a_number_fails_the_row(self, monkeypatch, suite, name, fake, identity):
+        monkeypatch.setattr(suites, name, fake)
+        rows = [r for r in run_suite(suite, 1).rows if r.identity == identity]
+        assert rows and all(math.isnan(r.max_error) and not r.passed for r in rows)
 
     def test_hermite_suite_green(self):
         rep = run_suite("hermite", max_mn=3)
@@ -217,6 +257,17 @@ class TestEval:
         ref = eval_explicit(ZernikeParams(2, 1, 0.5), complex(0.3, 0.1))
         assert complex(float(re_s), float(im_s)) == pytest.approx(ref, rel=1e-10)
 
+    # the contour route never runs here: another method, or a point past
+    # the contour route's |z| <= 0.95
+    @pytest.mark.parametrize("method, z", [("jacobi", "0.3,0.2"), ("all", "0.99,0")])
+    @pytest.mark.parametrize("count", ["5", "65537"])
+    def test_contour_nodes_checked_whatever_runs(self, capsys, method, z, count):
+        rc = main(["eval", "--m", "1", "--n", "1", "--gamma", "0.5", "--z", z,
+                   "--method", method, "--contour-nodes", count])
+        out, err = capsys.readouterr()
+        assert _one_error_3(rc, err) and "contour node count" in err, (rc, out, err)
+        assert out == ""
+
     def test_contour_nodes_help_gives_range(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["eval", "--help"])
@@ -256,13 +307,18 @@ class TestEvalErrorContract:
         assert "at most 65536" in err
 
 
-def _run_cli(argv, **kwargs):
+def _run_cli(argv, python_flags=(), **kwargs):
     """Run main(argv) in a fresh interpreter on this checkout's package."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys; from diskpoly.cli import main; sys.exit(main(sys.argv[1:]))"
-    return subprocess.run([sys.executable, "-c", code] + argv, capture_output=True,
-                          text=True, env=env, timeout=120, **kwargs)
+    return subprocess.run([sys.executable, *python_flags, "-c", code] + argv,
+                          capture_output=True, text=True, env=env, timeout=120, **kwargs)
+
+
+def _no_constant(name):
+    """``parse_constant`` for json.loads: NaN and Infinity are not JSON."""
+    raise ValueError(f"not JSON: {name}")
 
 
 def _csv_rows(path):
@@ -452,6 +508,19 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.strip() == "ERROR 1: 1 of 2 rows failed"
         assert out.exists()
+
+    def test_overflowing_oracle_fails_rows_in_json(self, tmp_path):
+        # the 2D oracle overflows at this gamma; under -W error, as CI runs,
+        # no numpy warning may escape, and NaN errors are written as null
+        out = tmp_path / "rep.json"
+        proc = _run_cli(["verify", "--suite", "cauchy", "--max-mn", "2", "--gammas=1e100",
+                         "--out", str(out)], python_flags=("-W", "error"))
+        assert proc.returncode == 1, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("ERROR 1: ")
+        doc = json.loads(out.read_text(), parse_constant=_no_constant)
+        assert any(row["max_error"] is None for row in doc["rows"])
+        assert doc["summary"]["fail"] == int(proc.stderr.split()[2])
 
     def test_bad_suite_exit_2(self, capsys):
         with pytest.raises(SystemExit) as ei:

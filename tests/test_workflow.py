@@ -3,9 +3,11 @@
 Each CLI step of ``.github/workflows/tests.yml`` runs as a ``bash -e``
 script in a fresh directory, with the package taken from ``src`` and the
 ``diskpoly`` console command spelled ``python -m diskpoly.cli``; each must
-exit 0.  The three benchmark steps are not run, since together they take
-about 12 s: each is checked to name a workload of ``BENCHMARK.json`` and to
-use only options that ``bench/run.py --help`` lists.
+exit 0, and every ``*.json`` file it writes must parse as JSON, with no
+NaN or Infinity constant.  The three benchmark steps are not run, since
+together they take about 12 s: each is checked to name a workload of
+``BENCHMARK.json`` and to use only options that ``bench/run.py --help``
+lists.
 """
 
 import json
@@ -36,6 +38,11 @@ def test_every_step_is_classified():
     assert all("diskpoly" in run for run in CLI)
 
 
+def _no_constant(name):
+    """``parse_constant`` for json.loads: NaN and Infinity are not JSON."""
+    raise ValueError(f"not JSON: {name}")
+
+
 @pytest.mark.parametrize("run", CLI, ids=[f"step{i}" for i in range(len(CLI))])
 def test_cli_step_exits_0(run, tmp_path):
     # the interpreter running the tests is the script's ``python``
@@ -45,7 +52,9 @@ def test_cli_step_exits_0(run, tmp_path):
     proc = subprocess.run(["bash", "-e", "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-
+    # every report a step writes is JSON: no NaN or Infinity constants
+    for path in tmp_path.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_no_constant)
 
 def test_bench_steps_name_workloads_with_listed_options():
     workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}

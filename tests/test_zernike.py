@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -439,6 +440,13 @@ class TestJacobiLine:
     def test_bad_line_raises_before_first_member(self, k, g, z, s_max, s_min):
         with pytest.raises(DomainError):
             next(jacobi_line(k, g, z, s_max, s_min))
+
+    # the line's top member (s_max + max(-k, 0), s_max + max(k, 0))
+    @pytest.mark.parametrize("k, s_max, top", [(-3, 62, "(65, 62)"), (3, 62, "(62, 65)"),
+                                               (-64, 1, "(65, 1)")])
+    def test_line_cap_error_names_the_top_member(self, k, s_max, top):
+        with pytest.raises(DomainError, match=rf"got {re.escape(top)}$"):
+            next(jacobi_line(k, 0.5, 0.3, s_max))
 
     def test_one_prefactor_per_one_member_call(self, monkeypatch):
         # eval_jacobi and the closed transform (n >= 1) form only their own
