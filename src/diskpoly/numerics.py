@@ -368,7 +368,8 @@ def _incomplete_beta(a: float, b: float, x: float) -> float:
     else:
         closed = _beta_closed(a, b, x)
     quad = _beta_quad_check(a, b, x)
-    if abs(closed - quad) > _BETA_CHECK_TOL * max(abs(closed), abs(quad)):
+    if not (math.isfinite(closed) and math.isfinite(quad)) or (
+            abs(closed - quad) > _BETA_CHECK_TOL * max(abs(closed), abs(quad))):
         raise NonConvergentError(
             f"incomplete beta routes disagree: closed={closed!r} quadrature={quad!r}"
         )
@@ -382,8 +383,8 @@ def incomplete_beta(a: float, b: float, x: float) -> float:
     value comes from the closed hypergeometric form
     (x^a / a)(1-x)^b 2F1(1, a+b; a+1; x) and every interior call is
     cross-checked against composite Gauss quadrature of the defining
-    integral; disagreement beyond ``_BETA_CHECK_TOL`` (relative) raises
-    NonConvergentError since it signals a defect in one of the routes.
+    integral; a non-finite route, or disagreement beyond ``_BETA_CHECK_TOL``
+    (relative), raises NonConvergentError: it signals a defect in a route.
     The check runs once per distinct argument: results are memoised.
     Needs real a, b and x, with finite a > 0 and b > -1 (b > 0 when
     x = 1).

@@ -18,8 +18,8 @@ from .errors import DomainError
 
 __all__ = ["ReportRow", "VerifyReport", "make_report", "INFORMATIONAL"]
 
-# sentinel tolerance for rows that are recorded but never gate the run
-# (JSON has no infinity, so use a finite value no real residual reaches)
+# tolerance for rows recorded, not gated: only a NaN or infinite error fails
+# them (JSON has no infinity, so a finite value no real residual reaches)
 INFORMATIONAL = 1e308
 
 

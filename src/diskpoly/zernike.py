@@ -442,9 +442,9 @@ def _shaped(values: np.ndarray, z: complex | np.ndarray) -> complex | np.ndarray
 @np.errstate(all="ignore")
 def _contour_row(m: int, gamma: float, ns, z: complex | np.ndarray,
                  n_nodes: int | None) -> list:
-    """For each index n of ns, the contour value at the checked points z,
-    in z's shape, or the NonConvergentError of that member; the fixed
-    rule at n_nodes nodes, or the adaptive rule when n_nodes is None.
+    """For each index n of ns, the contour value at z, in z's shape, or the
+    NonConvergentError of that member; the fixed rule at n_nodes nodes, or
+    the adaptive rule when n_nodes is None.  Checks z, then n_nodes.
 
     One set of passes serves every member.  Every (n, point) entry
     doubles on its own, with the one-member rule's stopping test, so each
@@ -454,6 +454,9 @@ def _contour_row(m: int, gamma: float, ns, z: complex | np.ndarray,
     point in array order is named), or it is still moving at MAX_NODES;
     the others go on.
     """
+    z = _check_disk(z, strict=True, arrays=True)
+    if n_nodes is not None:
+        n_nodes = _check_count(n_nodes, 16, "contour node count", MAX_NODES)
     zs = np.ravel(z)
     errors = [None] * len(ns)
 
@@ -544,9 +547,6 @@ def contour_row(m: int, gamma: float, z: complex | np.ndarray, n_max: int,
     """
     m, n_max = _check_indices(m, n_max)
     gamma = _check_weight(gamma)
-    z = _check_disk(z, strict=True, arrays=True)
-    if n_nodes is not None:
-        n_nodes = _check_count(n_nodes, 16, "contour node count", MAX_NODES)
     return _contour_row(m, gamma, range(n_max + 1), z, n_nodes)
 
 
@@ -564,8 +564,8 @@ def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> com
     ``n_nodes`` lies in [16, MAX_NODES].  This is the one-member case of
     ``contour_row``.
     """
-    z = _check_disk(z, strict=True, arrays=True)
-    n_nodes = _check_count(n_nodes, 16, "contour node count", MAX_NODES)
+    if n_nodes is None:  # to _contour_row, None means the adaptive rule
+        _check_count(n_nodes, 16, "contour node count")
     return _member(_contour_row(p.m, p.gamma, (p.n,), z, n_nodes))
 
 
@@ -582,7 +582,6 @@ def eval_contour_adaptive(p: ZernikeParams, z: complex | np.ndarray) -> complex 
     NonConvergentError if a point is still moving at the last pass, or if
     a pass is not finite.  This is the one-member case of ``contour_row``.
     """
-    z = _check_disk(z, strict=True, arrays=True)
     return _member(_contour_row(p.m, p.gamma, (p.n,), z, None))
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from diskpoly import (
     DomainError,
+    NonConvergentError,
     ZernikeParams,
     cauchy_closed_line,
     cauchy_direct_2d,
@@ -87,6 +88,13 @@ def test_monomial_2f1_named_points():
         b = cauchy_monomial_2f1(p, q, k, g, z)
         assert abs(a - b) <= 1e-12 * max(abs(a), 1e-12)
     assert cauchy_monomial_2f1(0, 0, 0, 0.0, 0.5 + 0j) == pytest.approx(-0.5, rel=1e-14)
+
+
+def test_monomial_closed_raises_where_its_beta_is_lost():
+    # B(2, 1e100 + 2) underflows; the incomplete beta once returned 1.0
+    # for it, and this call -11.11 (-1/z^2 times 1.0), with no error
+    with pytest.raises(NonConvergentError, match="incomplete beta"):
+        cauchy_monomial_closed(2, 1, 0, 1e100, 0.3)
 
 
 def test_monomial_2f1_guards():

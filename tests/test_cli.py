@@ -121,13 +121,78 @@ class TestSuites:
         assert failed == {("gauss1_vs_explicit", True)}
         assert sum(not r.passed for r in rows) == len(DEFAULT_GAMMAS)
 
+    def test_raising_route_fails_its_own_rows(self, monkeypatch):
+        monkeypatch.setitem(zernike.ROUTES, "gauss2", _raising(
+            zernike.eval_gauss2, lambda p, z: (p.m, p.n) == (1, 1)))
+        rows = run_suite("routes", 1).rows
+        assert _failed(rows) == {("gauss2_vs_explicit", f"gamma={g:g} m=1 n=1")
+                                 for g in DEFAULT_GAMMAS}
+
+    @pytest.mark.parametrize("suite, rule, identity", [
+        ("routes", None, "contour_vs_explicit"),
+        ("contour", None, "contour_adaptive_vs_explicit"),
+        ("contour", 512, "contour_fixed512_vs_explicit"),
+    ], ids=["routes", "contour-adaptive", "contour-fixed"])
+    def test_non_converging_contour_member_fails_its_own_rows(self, monkeypatch, suite,
+                                                              rule, identity):
+        def member_fails(m, gamma, z, n_max, n_nodes=None):
+            row = zernike.contour_row(m, gamma, z, n_max, n_nodes)
+            if (m, n_nodes) == (1, rule):
+                row[1] = NonConvergentError("stand-in")
+            return row
+
+        monkeypatch.setattr(suites, "contour_row", member_fails)
+        rows = run_suite(suite, 1).rows
+        assert _failed(rows) == {(identity, f"gamma={g:g} m=1 n=1") for g in DEFAULT_GAMMAS}
+
+    def test_raising_inner_product_fails_its_own_rows(self, monkeypatch):
+        monkeypatch.setattr(suites, "norm_squared", _raising(
+            zernike.norm_squared, lambda p: (p.m, p.n, p.gamma) == (0, 1, 1.0)))
+        monkeypatch.setattr(suites, "inner_product", _raising(
+            zernike.inner_product, lambda p1, p2: (p1.m, p1.n, p2.m, p2.n) == (1, 1, 2, 2)))
+        rows = run_suite("orthogonality", 2).rows
+        own = {(r.identity, r.params) for r in rows
+               if r.params.startswith("gamma=1 ") and ("m1=0 n1=1" in r.params
+                                                       or "m2=0 n2=1" in r.params)
+               or r.params.endswith("m1=1 n1=1 m2=2 n2=2")}
+        assert len(own) == 8 + 4  # (0, 1) meets 8 members at gamma = 1; the pair, 4 gammas
+        assert _failed(rows) == own
+
+    def test_raising_cauchy_route_fails_its_own_rows(self, monkeypatch):
+        from diskpoly import cauchy
+        monkeypatch.setattr(suites, "cauchy_zernike_quad", _raising(
+            cauchy.cauchy_zernike_quad, lambda p, z: (p.m, p.n) == (2, 1)))
+        monkeypatch.setattr(suites, "cauchy_monomial_2f1", _raising(
+            cauchy.cauchy_monomial_2f1, lambda p, q, k, g, z: k == 3))
+        monkeypatch.setattr(suites, "cauchy_direct_2d", _raising(
+            cauchy.cauchy_direct_2d, lambda f, g, z, *nodes: g == 2.5))
+        rows = run_suite("cauchy", 2).rows
+        own = {(r.identity, r.params) for r in rows
+               if r.params.endswith(" m=2 n=1") or " k=3 " in r.params
+               or r.identity == "cauchy_direct2d_spotcheck" and r.params.startswith("gamma=2.5 ")}
+        assert _failed(rows) == own
+
+    @pytest.mark.parametrize("suite, gamma", [
+        ("routes", 1000.0), ("contour", 1000.0),
+        ("routes", 1e100), ("orthogonality", 1e100), ("contour", 1e100)])
+    def test_overflowing_gamma_fails_rows_not_the_suite(self, suite, gamma):
+        # the inner product first overflows at (1, 4) x (1, 4)
+        rows = run_suite(suite, 4, gammas=(gamma,)).rows
+        assert len(rows) == len(run_suite(suite, 4, gammas=(0.5,)).rows)
+        assert not all(r.passed for r in rows)
+        assert INFORMATIONAL not in {r.max_error for r in rows}
+
     @pytest.mark.parametrize("suite, name, fake, identity", [
         ("spectral", "factorization_residuals", lambda nu, e: (0.0, math.nan),
          "ladder_factorization"),
         ("hermite", "hermite_limit_error",
          lambda m, n, z, rho: {10.0: 1e-2, 100.0: 1e-4, 1000.0: math.nan}[rho],
          "hermite_limit_monotone"),
-    ], ids=["spectral", "hermite"])
+        # no ratio is defined when the error vanishes at rho = 10 only
+        ("hermite", "hermite_limit_error",
+         lambda m, n, z, rho: {10.0: 0.0, 100.0: 1e-4, 1000.0: 1e-6}[rho],
+         "hermite_limit_monotone"),
+    ], ids=["spectral", "hermite", "hermite-undefined-ratio"])
     def test_nan_after_a_number_fails_the_row(self, monkeypatch, suite, name, fake, identity):
         monkeypatch.setattr(suites, name, fake)
         rows = [r for r in run_suite(suite, 1).rows if r.identity == identity]
@@ -319,6 +384,22 @@ def _run_cli(argv, python_flags=(), **kwargs):
 def _no_constant(name):
     """``parse_constant`` for json.loads: NaN and Infinity are not JSON."""
     raise ValueError(f"not JSON: {name}")
+
+
+def _raising(func, when):
+    """A stand-in for func that raises NonConvergentError where when(*args)."""
+    def stand_in(*args):
+        if when(*args):
+            raise NonConvergentError("stand-in")
+        return func(*args)
+    return stand_in
+
+
+def _failed(rows):
+    """The (identity, params) of the failed rows, each of which has a NaN error."""
+    failed = [r for r in rows if not r.passed]
+    assert all(math.isnan(r.max_error) for r in failed)
+    return {(r.identity, r.params) for r in failed}
 
 
 def _csv_rows(path):

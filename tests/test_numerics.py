@@ -319,6 +319,19 @@ class TestIncompleteBeta:
                     want = float(mpmath.betainc(a, b, 0, x))
                 assert incomplete_beta(a, b, x) == pytest.approx(want, rel=1e-12), (b, x)
 
+    @pytest.mark.parametrize("b", [1e5, 1e9, 1e11])
+    def test_non_finite_quadrature_fails_the_check(self, b):
+        # the quadrature is -inf or inf here; inf > inf is False, so the
+        # check once passed values 3.7e-6 (b = 1e9) and 1.7e-4 (1e11) off
+        with pytest.raises(NonConvergentError, match="quadrature=-?inf"):
+            incomplete_beta(3.0, b + 1, 0.09)
+
+    def test_large_second_parameter_keeps_its_bits(self):
+        want = {1.0: "0x1.db359b42662c1p-13", 10.0: "0x1.0186c92197ab1p-13",
+                1e2: "0x1.f80a7fa039aa6p-20", 1e3: "0x1.113c48dccd0fep-29",
+                1e4: "0x1.194e60a308d2bp-39"}
+        assert {b: incomplete_beta(3.0, b + 1, 0.09).hex() for b in want} == want
+
     def test_domain_guards(self):
         with pytest.raises(DomainError):
             incomplete_beta(2.0, 1.5, 1.2)

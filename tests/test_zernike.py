@@ -479,6 +479,11 @@ class TestContourNodeCount:
         with pytest.raises(DomainError):
             eval_contour(self.P, self.Z, 100.5)
 
+    def test_no_count_rejected(self):
+        # None is no count: it does not select the adaptive rule here
+        with pytest.raises(DomainError, match="must be an integer, got None"):
+            eval_contour(self.P, self.Z, None)
+
     def test_numpy_integer_count_accepted(self):
         want = eval_contour(self.P, self.Z, 128)
         assert eval_contour(self.P, self.Z, np.int64(128)) == want
