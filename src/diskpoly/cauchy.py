@@ -17,9 +17,9 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _check_count, _check_weight, gauss_legendre, hyp2f1, incomplete_beta
+from .numerics import _check_count, _check_weight, _finite, gauss_legendre, hyp2f1, incomplete_beta
 from .zernike import (INDEX_CAP, ZernikeParams, _check_disk, _check_indices, _explicit_terms,
-                      eval_explicit, jacobi_line)
+                      _line_members, eval_explicit)
 
 __all__ = [
     "cauchy_monomial_closed",
@@ -66,8 +66,8 @@ def cauchy_monomial_closed(p: int, q: int, k: int, gamma: float, z: complex) -> 
         if w == 0:
             # the value, about |z|^(p+q+1)/(p+1) <= |w|, underflows too
             return 0j
-        return -incomplete_beta(p + 1, gamma + k + 1, r2) / w
-    return z ** (chi - 1) * incomplete_beta(gamma + k + 1, p + 1, 1.0 - r2)
+        return _finite(-incomplete_beta(p + 1, gamma + k + 1, r2) / w)
+    return _finite(z ** (chi - 1) * incomplete_beta(gamma + k + 1, p + 1, 1.0 - r2))
 
 
 def cauchy_monomial_2f1(p: int, q: int, k: int, gamma: float, z: complex) -> complex:
@@ -88,7 +88,7 @@ def cauchy_monomial_2f1(p: int, q: int, k: int, gamma: float, z: complex) -> com
     f = hyp2f1(1.0, gamma + p + k + 2.0, p + 2.0, r2)
     # z^(q+k) conj(z)^(p+k+1) u^(gamma+1) (u/r2)^k with z^k conj(z)^k = r2^k
     # cancelled, so a subnormal r2 is never divided into
-    return -z ** q * z.conjugate() ** (p + 1) / (p + 1) * u ** (gamma + 1 + k) * f
+    return _finite(-z ** q * z.conjugate() ** (p + 1) / (p + 1) * u ** (gamma + 1 + k) * f)
 
 
 def cauchy_closed_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int,
@@ -98,9 +98,10 @@ def cauchy_closed_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int
 
     The transform of (m, n) at gamma is u^(gamma+1) times the member at
     (m, n-1) for weight exponent gamma+1, which lies on the line k - 1 at
-    the same s: so the line is u^(gamma+1) times
+    the same s: so the line is u^(gamma+1) times the members of
     ``zernike.jacobi_line(k - 1, gamma + 1, z, s_max, s_min)``, and
-    between two members it holds that line's state and the weight.  ``z``
+    between two members it holds that line's state and the weight.  A
+    transform member, not the shifted one, is refused if not finite.  ``z``
     may be a scalar or an ndarray of points in the closed disk.  Before
     the line is shifted, k is checked as an integer, s_min and s_max as
     indices, and the top member (s_max + max(1 - k, 0), s_max + max(k, 1))
@@ -114,8 +115,7 @@ def cauchy_closed_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int
     u = 1.0 - (z.real * z.real + z.imag * z.imag)
     u = np.maximum(u, 0.0) if isinstance(z, np.ndarray) else max(u, 0.0)
     weight = u ** (gamma + 1.0)
-    for v in jacobi_line(k - 1, gamma + 1.0, z, s_max, s_min):
-        yield weight * v
+    yield from _line_members(k - 1, gamma + 1.0, z, s_max, s_min, weight)
 
 
 def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
@@ -131,7 +131,7 @@ def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex 
     if p.n == 0:
         c = _explicit_terms(p.m, 0, p.gamma)[0][3]
         # 0 + gives a zero imaginary part the sign the quad route's sum gives
-        one = lambda w: 0 + c * cauchy_monomial_closed(p.m, 0, 0, p.gamma, w)
+        one = lambda w: _finite(0 + c * cauchy_monomial_closed(p.m, 0, 0, p.gamma, w))
         z = _check_disk(z, arrays=True)
         return np.vectorize(one, otypes=[complex])(z) if isinstance(z, np.ndarray) else one(z)
     s = min(p.m, p.n - 1)
@@ -141,8 +141,8 @@ def cauchy_zernike_closed(p: ZernikeParams, z: complex | np.ndarray) -> complex 
 def cauchy_zernike_quad(p: ZernikeParams, z: complex) -> complex:
     """Term-by-term transform of the explicit sum through the monomial route."""
     z = _check_disk(z, strict=True)
-    return sum(c * cauchy_monomial_closed(b, a, j, p.gamma, z)
-               for a, b, j, c in _explicit_terms(p.m, p.n, p.gamma))
+    return _finite(sum(c * cauchy_monomial_closed(b, a, j, p.gamma, z)
+                       for a, b, j, c in _explicit_terms(p.m, p.n, p.gamma)))
 
 
 # numpy's float errors are ignored: an overflow shows as a non-finite value
@@ -200,7 +200,7 @@ def cauchy_direct_2d(f, gamma: float, z: complex, n_r: int = 128,
     # BLAS thread pool, which costs more than the sum itself
     ring = (vals * radial).sum(axis=1)
     acc = np.sum(reach * ring * e.conjugate())
-    return complex(acc * (2.0 * np.pi / n_theta) / np.pi)
+    return _finite(complex(acc * (2.0 * np.pi / n_theta) / np.pi))
 
 
 # The transform routes by name: of a member, the 2D oracle included, and of a monomial.

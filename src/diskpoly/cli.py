@@ -9,14 +9,13 @@ stderr.  All output is deterministic for identical flags.
 """
 
 import argparse
-import cmath
 import math
 import sys
 
 import numpy as np
 
 from .cauchy import CAUCHY_ROUTES, MONOMIAL_ROUTES, cauchy_closed_line, cauchy_zernike_closed
-from .errors import DiskPolyError, NonConvergentError
+from .errors import DiskPolyError
 from .report import _f17, serialize
 from .suites import DEFAULT_GAMMAS, DEFAULT_SEED, SUITE_NAMES, run_suite
 from .zernike import MAX_NODES, ROUTES, ZernikeParams, _check_indices, eval_route, jacobi_line
@@ -65,18 +64,6 @@ def _parse_range(text: str, flag: str) -> range:
     return range(lo, hi + 1)
 
 
-def _finite(v: complex) -> complex:
-    """Return v, or raise NonConvergentError if a part is inf or NaN."""
-    if not cmath.isfinite(v):
-        raise NonConvergentError(f"value is not finite: {v.real!r}, {v.imag!r}")
-    return v
-
-
-def _value_line(label: str, v: complex) -> str:
-    v = _finite(v)
-    return f"{label}, {v.real!r}, {v.imag!r}"
-
-
 # ------------------------------------------------------------------ eval
 
 def cmd_eval(ns) -> int:
@@ -91,7 +78,7 @@ def cmd_eval(ns) -> int:
             continue
         v = eval_route(p, z, route, contour_nodes=ns.contour_nodes)
         values.append(v)
-        print(_value_line(route, v))
+        print(f"{route}, {v.real!r}, {v.imag!r}")
     if every:
         dev = max((abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]),
                   default=0.0)
@@ -150,15 +137,15 @@ def _table_blocks(ns, params, n_gammas, points, start, sep, end, joiner):
     ``cauchy_zernike_closed``, bit for bit.  Along a line m rises by one
     per block, so each line starts at its first block's member, holds
     only its running recurrence state between blocks, and is dropped
-    after its last block.  An n = 0 block
-    takes its transform column from ``cauchy_zernike_closed``, point by
-    point, and only once its value column is finite.  The point cells are
+    after its last block.  An n = 0 block takes its transform column from
+    ``cauchy_zernike_closed``, point by point.  The point cells are
     formatted once, and a block's text is one "%" call that fills its
-    value cells in with report._f17's "%.17g".  Every cell
-    is an int or such a number, so none holds ",", '"' or "%" and no CSV
-    cell needs quoting.  A block yields no text unless all its cells are
-    finite, and the error names the first non-finite cell in row order,
-    value before transform.
+    value cells in with report._f17's "%.17g".  Every cell is an int or
+    such a number, so none holds ",", '"' or "%" and no CSV cell needs
+    quoting.  Each column's route raises NonConvergentError on a
+    non-finite cell, naming the column's first in point order, and the
+    value column is checked first, before the transform column runs: so
+    a block yields no text unless all its cells are finite.
     """
     if not points:
         return
@@ -171,22 +158,16 @@ def _table_blocks(ns, params, n_gammas, points, start, sep, end, joiner):
         k, g, at = p.n - p.m, p.gamma, i % n_gammas
         m_last = last_m[k]
         last = p.m == m_last
-        with np.errstate(all="ignore"):
-            cols = [_line_member(
-                lines, ("value", at, k),
-                lambda: jacobi_line(k, g, zs, min(m_last, m_last + k), min(p.m, p.n)), last)]
-            if ns.with_cauchy and p.n == 0:
-                if np.isfinite(cols[0]).all():
-                    cols.append(cauchy_zernike_closed(p, zs))
-            elif ns.with_cauchy:
-                cols.append(_line_member(
-                    lines, ("transform", at, k),
-                    lambda: cauchy_closed_line(k, g, zs, min(m_last, m_last + k - 1),
-                                               min(p.m, p.n - 1)), last))
-        if not all(np.isfinite(c).all() for c in cols):
-            for row in zip(*cols):
-                for v in row:
-                    _finite(complex(v))
+        cols = [_line_member(
+            lines, ("value", at, k),
+            lambda: jacobi_line(k, g, zs, min(m_last, m_last + k), min(p.m, p.n)), last)]
+        if ns.with_cauchy and p.n == 0:
+            cols.append(cauchy_zernike_closed(p, zs))
+        elif ns.with_cauchy:
+            cols.append(_line_member(
+                lines, ("transform", at, k),
+                lambda: cauchy_closed_line(k, g, zs, min(m_last, m_last + k - 1),
+                                           min(p.m, p.n - 1)), last))
         head = f"{start}{p.m}{sep}{p.n}{sep}{_f17(p.gamma)}{sep}"
         template = (joiner if i else "") + head + (joiner + head).join(tails)
         # each row's re and im parts of each column, as interleaved floats
@@ -250,7 +231,7 @@ def cmd_cauchy(ns) -> int:
         v = routes[ns.route](p, q, k, ns.gamma, z)
     else:
         v = routes[ns.route](ZernikeParams(ns.m, ns.n, ns.gamma), z)
-    print(_value_line(ns.route, v))
+    print(f"{ns.route}, {v.real!r}, {v.imag!r}")
     return 0
 
 

@@ -8,9 +8,11 @@ scratch in plain float arithmetic so the higher-level cross-checks do not
 silently share code with the oracles used to test them.
 """
 
+import cmath
 import math
 import numbers
 import operator
+from contextlib import nullcontext
 from functools import lru_cache
 from itertools import count, islice
 
@@ -37,6 +39,8 @@ _BETA_CHECK_TOL = 1e-10
 # Stopping rule of a non-terminating 2F1 series: relative term size, term cap.
 _HYP2F1_TOL = 1e-15
 _HYP2F1_MAX_TERMS = 10**6
+
+_NO_ERRSTATE = nullcontext()  # _quiet's context for a scalar: stateless, so one serves all
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -108,6 +112,21 @@ def _check_count(n, least: int, what: str, most: int | None = None) -> int:
     if most is not None and n > most:
         raise DomainError(f"{what} must be at most {most}, got {n}")
     return n
+
+
+def _finite(v):
+    """Return a route's value, a number or an ndarray, if no part of it is
+    inf or NaN; else raise NonConvergentError naming its first such entry."""
+    array = isinstance(v, np.ndarray)
+    if np.isfinite(v).all() if array else cmath.isfinite(v):
+        return v
+    first = complex(v.flat[np.isfinite(v).argmin()]) if array else v
+    raise NonConvergentError(f"value is not finite: {first.real!r}, {first.imag!r}")
+
+
+def _quiet(z):
+    """numpy's float errors ignored on an ndarray z, for ``_finite`` to see."""
+    return np.errstate(all="ignore") if isinstance(z, np.ndarray) else _NO_ERRSTATE
 
 
 def _nonpos_int(v: float) -> int | None:
@@ -311,23 +330,24 @@ def _beta_quad_check(a: float, b: float, x: float) -> float:
     """Quadrature value of int_0^x t^(a-1)(1-t)^(b-1) dt.
 
     The integrand has branch points at t=0 and t=1, so a single Gauss rule
-    is not enough for non-integer parameters.  The first dyadic slice near
-    0 is summed by an exact series and the rest is covered by panels graded
-    geometrically toward both ends, each handled by a 32-point rule; all
-    panels are evaluated together as one (panels x 32) array.  1 - t is
-    taken as (1 - lo) - s for the node t = lo + s of the panel starting at
-    lo, where 1 - lo is exact for lo >= 1/2: near the rim, 1 - t itself
-    would keep little more than the rounding error of t.
+    is not enough for non-integer parameters.  The head [0, x 2^-K] is
+    summed by an exact series with terms near r^i / i!, r = |b - 1| x 2^-K:
+    K rises from 8 until r <= 1/4, so the alternating terms cannot cancel.
+    The rest is covered by panels graded geometrically toward both ends,
+    each by a 32-point rule, all evaluated together as one (panels x 32)
+    array.  1 - t is taken as (1 - lo) - s for the node t = lo + s of the
+    panel starting at lo, where 1 - lo is exact for lo >= 1/2: near the
+    rim, 1 - t itself would keep little more than the rounding error of t.
     """
     nodes, weights = gauss_legendre(32)
     half = 0.5 * (nodes + 1)
 
-    t0 = x * 2.0**-8
-    head = _beta_series_head(a, b, t0)
+    K = max(8, math.ceil(math.log2(max(abs(b - 1) * x, 1.0))) + 2)
+    head = _beta_series_head(a, b, x * 2.0**-K)
     # panels graded toward x as well; depth grows as x -> 1 so the last
     # panel stays short relative to its distance from the t=1 branch point
     depth = max(7, int(math.ceil(math.log2(max(x / (1 - x), 1.0)))) + 4)
-    pts = ([x * 2.0**k for k in range(-8, 0)]                    # t0 .. x/2
+    pts = ([x * 2.0**k for k in range(-K, 0)]                    # x 2^-K .. x/2
            + [x - (x / 2) * 2.0**-k for k in range(1, depth + 1)] + [x])
     lo, width = map(np.array, zip(*[(p, q - p) for p, q in zip(pts, pts[1:]) if q > p]))
     s = width[:, None] * half

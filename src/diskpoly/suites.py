@@ -99,7 +99,7 @@ def _contour_grid(max_mn: int, gammas, zs: np.ndarray, *rules):
 
 def _reference(p: ZernikeParams, pts) -> tuple[list, float]:
     """Explicit-route values at the points, and their largest magnitude S."""
-    ref = [eval_explicit(p, z) for z in pts]
+    ref = [_or_nan(eval_explicit, p, z) for z in pts]
     return ref, max(abs(v) for v in ref)
 
 
@@ -178,7 +178,7 @@ def suite_cauchy(max_mn: int, gammas, seed: int) -> list[ReportRow]:
         if p.n > p.m:
             g1 = p.gamma + 1.0
             swapped = ZernikeParams(p.n, p.m - 1, g1)
-            printed = _worst([(1.0 - abs(z) ** 2) ** g1 * eval_explicit(swapped, z)
+            printed = _worst([(1.0 - abs(z) ** 2) ** g1 * _or_nan(eval_explicit, swapped, z)
                               for z in pts], quad, s)
             rows.append(checked_row(
                 "cauchy_shift_swapped_pattern", params, printed, INFORMATIONAL))

@@ -42,8 +42,8 @@ import numpy as np
 
 from .algebra import DiskExpr, _from_canonical, _signed_binomials
 from .errors import DomainError, NonConvergentError, ParamMismatchError
-from .numerics import (_check_count, _check_point, _check_real, _check_weight, _jacobi_ladder,
-                       hyp2f1, pochhammer)
+from .numerics import (_check_count, _check_point, _check_real, _check_weight, _finite,
+                       _jacobi_ladder, _quiet, hyp2f1, pochhammer)
 
 __all__ = [
     "ZernikeParams",
@@ -145,9 +145,10 @@ def eval_explicit(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.nda
     u = 1.0 - (z.real * z.real + z.imag * z.imag)
     zb = z.conjugate()
     acc = 0j
-    for a, b, j, c in _explicit_terms(p.m, p.n, p.gamma):
-        acc += c * u**j * zb**b * z**a
-    return acc
+    with _quiet(z):
+        for a, b, j, c in _explicit_terms(p.m, p.n, p.gamma):
+            acc += c * u**j * zb**b * z**a
+    return _finite(acc)
 
 
 def eval_gauss1(p: ZernikeParams, z: complex) -> complex:
@@ -158,7 +159,7 @@ def eval_gauss1(p: ZernikeParams, z: complex) -> complex:
         raise DomainError("this route is singular at the origin")
     m, n, g = p.m, p.n, p.gamma
     f = hyp2f1(-float(m), -float(n), g + 1.0, 1.0 - 1.0 / r2)
-    return pochhammer(g + 1, m + n) * z.conjugate() ** m * z**n * f
+    return _finite(pochhammer(g + 1, m + n) * z.conjugate() ** m * z**n * f)
 
 
 def eval_gauss2(p: ZernikeParams, z: complex) -> complex:
@@ -171,7 +172,7 @@ def eval_gauss2(p: ZernikeParams, z: complex) -> complex:
     f = hyp2f1(-float(m), -float(n), -(g + m + n), 1.0 / r2)
     # (g+1)_{m+n}^2 / ((g+1)_m (g+1)_n) without the square, which overflows
     pref = pochhammer(g + m + 1, n) * pochhammer(g + n + 1, m)
-    return pref * z.conjugate() ** m * z**n * f
+    return _finite(pref * z.conjugate() ** m * z**n * f)
 
 
 def eval_jacobi(p: ZernikeParams, z: complex | np.ndarray) -> complex | np.ndarray:
@@ -208,17 +209,26 @@ def jacobi_line(k: int, gamma: float, z: complex | np.ndarray, s_max: int,
     ndarray, as for ``eval_explicit``.  Before the first member k, s_min
     and s_max are checked as integers, s_min >= 0, and the top member
     (s_max + max(-k, 0), s_max + max(k, 0)) against INDEX_CAP; a line with
-    s_min > s_max has no members.
+    s_min > s_max has no members, and a non-finite member ends it with
+    NonConvergentError.
     """
     k = _check_count(k, -INDEX_CAP, "line charge k")
     s_min, s_max = _check_indices(s_min, s_max)
     _check_indices(s_max + max(-k, 0), s_max + max(k, 0))
     gamma = _check_weight(gamma)
-    z = _check_disk(z, arrays=True)
+    yield from _line_members(k, gamma, _check_disk(z, arrays=True), s_max, s_min)
+
+
+def _line_members(k: int, gamma: float, z, s_max: int, s_min: int, weight=None):
+    """``jacobi_line``'s members, each times ``weight`` if given, for checked arguments."""
     ang = z ** k if k >= 0 else z.conjugate() ** -k
-    ladder = _jacobi_ladder(abs(k), gamma, 1.0 - 2.0 * (z.real * z.real + z.imag * z.imag))
-    for s, rung in zip(range(s_min, s_max + 1), islice(ladder, s_min, None)):
-        yield _jacobi_prefactor(s, k, gamma) * ang * rung
+    x = 1.0 - 2.0 * (z.real * z.real + z.imag * z.imag)
+    ladder = islice(_jacobi_ladder(abs(k), gamma, x), s_min, None)
+    for s in range(s_min, s_max + 1):
+        with _quiet(z):  # entered per member: no errstate is held across a yield
+            v = _jacobi_prefactor(s, k, gamma) * ang * next(ladder)
+            v = v if weight is None else weight * v
+        yield _finite(v)
 
 
 # Cached for eval_rodrigues and inner_product, whose members repeat.
@@ -613,7 +623,7 @@ def eval_route(p: ZernikeParams, z: complex, route: str,
 
 def value_at_origin(p: ZernikeParams) -> float:
     """Closed form at z = 0: zero off the diagonal, else a signed factorial."""
-    return _jacobi_prefactor(p.m, 0, p.gamma) if p.m == p.n else 0.0
+    return _finite(_jacobi_prefactor(p.m, 0, p.gamma) if p.m == p.n else 0.0)
 
 
 def monomial_coeffs(p: ZernikeParams) -> dict[tuple[int, int], float]:

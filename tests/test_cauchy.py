@@ -183,11 +183,14 @@ def test_direct_2d_simple():
 
 
 def test_direct_2d_overflow_warns_nothing():
-    # the weight power overflows at this gamma; the value is not finite,
-    # and no numpy warning escapes (pytest turns one into an error)
+    # the weight power overflows at this gamma; the value is not finite, so
+    # the oracle raises, and no numpy warning escapes (pytest turns one into
+    # an error)
     p = ZernikeParams(2, 1, 1e100)
-    v = cauchy_direct_2d(lambda w: eval_explicit(p, w), 1e100, Z0, 16, 32)
-    assert not cmath.isfinite(v)
+    with pytest.raises(NonConvergentError, match="^value is not finite: "):
+        cauchy_direct_2d(lambda w: eval_explicit(p, w), 1e100, Z0, 16, 32)
+    with pytest.raises(NonConvergentError, match="^value is not finite: "):
+        cauchy_direct_2d(lambda w: 1.0, 1e100, Z0, 16, 32)
 
 
 def test_direct_2d_calls_f_once():
@@ -498,16 +501,22 @@ class TestClosedArrays:
         # eval_jacobi at (m, n-1, gamma+1), bit for bit, on arrays and scalars
         zs = np.array(self.PTS)
         u = np.maximum(1.0 - (zs.real * zs.real + zs.imag * zs.imag), 0.0)
+        # where the shifted member raises, at gamma = 300 and the cap, so
+        # does the transform
+        z = self.PTS[0]
+        uz = max(1.0 - (z.real * z.real + z.imag * z.imag), 0.0)
         with np.errstate(all="ignore"):
             for m, n in [(m, n) for m in range(9) for n in range(1, 9)] + [(64, 64), (0, 64)]:
                 p = ZernikeParams(m, n, g)
                 shifted = ZernikeParams(m, n - 1, g + 1.0)
-                want = u ** (g + 1.0) * eval_jacobi(shifted, zs)
-                assert self._same_bits(cauchy_zernike_closed(p, zs), want), (m, n)
-                z = self.PTS[0]
-                want = max(1.0 - (z.real * z.real + z.imag * z.imag), 0.0) ** (g + 1.0) \
-                    * eval_jacobi(shifted, z)
-                assert self._same_bits(cauchy_zernike_closed(p, z), want), (m, n)
+                for w, uw in ((zs, u), (z, uz)):
+                    try:
+                        want = uw ** (g + 1.0) * eval_jacobi(shifted, w)
+                    except NonConvergentError:
+                        with pytest.raises(NonConvergentError, match="^value is not finite: "):
+                            cauchy_zernike_closed(p, w)
+                    else:
+                        assert self._same_bits(cauchy_zernike_closed(p, w), want), (m, n)
 
     def test_closed_line_members(self):
         # the member (m, n) of the line n - m = k comes at s = min(m, n - 1);

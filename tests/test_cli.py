@@ -40,7 +40,7 @@ from diskpoly.report import (
     to_csv,
     to_json,
 )
-from diskpoly import suites, zernike
+from diskpoly import cauchy, numerics, suites, zernike
 from diskpoly.suites import DEFAULT_GAMMAS, normalized_deviation, run_suite
 
 
@@ -747,19 +747,23 @@ class TestTable:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256[fmt]
 
     @pytest.mark.parametrize("bad, want", [
-        ({(1, 1): math.inf, (2, 0): math.nan}, "inf, 0.0"),
-        ({(1, 1): math.inf, (1, 0): math.nan}, "nan, 0.0"),
+        ({(1, 0): math.inf, (2, 0): math.nan}, "inf, 0.0"),
+        ({(1, 1): math.nan, (2, 0): math.inf}, "inf, 0.0"),
         ({(3, 0): complex(3.0, math.inf)}, "3.0, inf"),
-    ], ids=["row-order", "value-first", "imag-part"])
+        ({(2, 1): math.nan, (3, 1): math.inf}, "nan, 0.0"),
+    ], ids=["row-order", "value-first", "imag-part", "transform-line"])
     def test_first_non_finite_cell_named(self, capsys, tmp_path, monkeypatch, bad, want):
-        # the error names the first non-finite cell in row order, value
-        # before transform, and the block writes no row
+        # each line yields its members through numerics._finite, which
+        # names a column's first non-finite cell in row order; the value
+        # line is checked before the transform line runs, and the block
+        # writes no row
         cols = [np.arange(4, dtype=complex), np.arange(4, dtype=complex)]
         for (row, col), v in bad.items():
             cols[col][row] = v
-        monkeypatch.setattr(cli, "jacobi_line", lambda k, g, z, s_max, s_min: repeat(cols[0]))
-        monkeypatch.setattr(cli, "cauchy_closed_line",
-                            lambda k, g, z, s_max, s_min: repeat(cols[1]))
+        monkeypatch.setattr(zernike, "_line_members",
+                            lambda *args: map(numerics._finite, repeat(cols[0])))
+        monkeypatch.setattr(cauchy, "_line_members",
+                            lambda *args: map(numerics._finite, repeat(cols[1])))
         out = tmp_path / "t.csv"
         assert main(["table", "--m", "1", "--n", "1", "--r-steps", "1",
                      "--theta-steps", "4", "--with-cauchy", "--out", str(out)]) == 3

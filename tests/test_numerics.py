@@ -320,11 +320,31 @@ class TestIncompleteBeta:
                 assert incomplete_beta(a, b, x) == pytest.approx(want, rel=1e-12), (b, x)
 
     @pytest.mark.parametrize("b", [1e5, 1e9, 1e11])
-    def test_non_finite_quadrature_fails_the_check(self, b):
-        # the quadrature is -inf or inf here; inf > inf is False, so the
-        # check once passed values 3.7e-6 (b = 1e9) and 1.7e-4 (1e11) off
-        with pytest.raises(NonConvergentError, match="quadrature=-?inf"):
-            incomplete_beta(3.0, b + 1, 0.09)
+    def test_non_finite_quadrature_fails_the_check(self, b, monkeypatch):
+        # inf > inf is False, so a check that compared only the gap once
+        # passed values 3.7e-6 (b = 1e9) and 1.7e-4 (1e11) off, where its
+        # quadrature was -inf or inf; here that quadrature is injected
+        for bad in (math.inf, -math.inf, math.nan):
+            monkeypatch.setattr(numerics, "_beta_quad_check", lambda a, b, x: bad)
+            incomplete_beta.cache_clear()
+            with pytest.raises(NonConvergentError, match=f"quadrature={bad!r}$"):
+                incomplete_beta(3.0, b + 1, 0.09)
+
+    @pytest.mark.parametrize("b", [5e4, 1e5, 1e9, 1e11])
+    def test_quadrature_keeps_its_digits_at_large_b(self, b):
+        # the head series alternates with terms near (|b - 1| t0)^i / i!;
+        # at t0 = x 2^-8 it cancelled to 2.5e-7 at b = 5e4 and to -inf from
+        # 1e5 on, so the check refused a closed form 6.3e-11 off
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            f = lambda t: t**2 * (1 - t) ** b
+            want = float(mpmath.quad(f, [0, 1 / b, 10 / b, 100 / b, 0.09]))
+        assert numerics._beta_quad_check(3.0, b + 1, 0.09) == pytest.approx(want, rel=1e-13)
+        if b == 5e4:
+            assert incomplete_beta(3.0, b + 1, 0.09) == pytest.approx(want, rel=1e-10)
+        else:  # the closed form's own error, as two finite values
+            with pytest.raises(NonConvergentError, match=r"closed=[-\d.e]+ quadrature=[-\d.e]+$"):
+                incomplete_beta(3.0, b + 1, 0.09)
 
     def test_large_second_parameter_keeps_its_bits(self):
         want = {1.0: "0x1.db359b42662c1p-13", 10.0: "0x1.0186c92197ab1p-13",

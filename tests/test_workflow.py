@@ -34,7 +34,7 @@ CLI = [run for run in STEPS if run not in SETUP and run not in BENCH]
 def test_every_step_is_classified():
     # a step that is neither setup nor a bench run is run below as a CLI step
     assert [run for run in STEPS if run in SETUP] == SETUP
-    assert len(BENCH) == 3 and len(CLI) == 11
+    assert len(BENCH) == 3 and len(CLI) == 12
     assert all("diskpoly" in run for run in CLI)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from diskpoly import algebra, zernike
-from diskpoly.cauchy import cauchy_zernike_closed
+from diskpoly.cauchy import cauchy_closed_line, cauchy_zernike_closed
 from diskpoly.errors import DomainError, NonConvergentError, ParamMismatchError
 from diskpoly.numerics import pochhammer
 from diskpoly.sampling import disk_points
@@ -385,24 +385,64 @@ class TestJacobiLine:
         return a.shape == b.shape and np.array_equal(a.view(float), b.view(float),
                                                      equal_nan=True)
 
+    @staticmethod
+    def _members(k, g, z, s_max, s_min=0) -> list:
+        """Each member of the line from s_min on, or the message of the
+        NonConvergentError it raises; a raise ends a line, so the next
+        member starts a line of its own."""
+        out = []
+        while s_min + len(out) <= s_max:
+            try:
+                out.extend(jacobi_line(k, g, z, s_max, s_min + len(out)))
+            except NonConvergentError as exc:
+                out.append(str(exc))
+        return out
+
+    @classmethod
+    def _same(cls, v, p, z) -> bool:
+        """v is eval_jacobi(p, z) bit for bit, or the message it raises."""
+        try:
+            return cls._same_bits(v, eval_jacobi(p, z))
+        except NonConvergentError as exc:
+            return v == str(exc)
+
     @pytest.mark.parametrize("g", [-0.99, -0.5, 0.0, 0.5, 2.5, 30.0, 300.0])
     def test_every_member_matches_eval_jacobi(self, g):
-        # up to the cap, where gamma = 300 overflows to inf and nan: those
-        # bits must agree too; a line started at s_min is the full line's
-        # members from s_min on
-        with np.errstate(all="ignore"):
-            for k in range(-INDEX_CAP, INDEX_CAP + 1):
-                s_max = INDEX_CAP - abs(k)
-                members = list(jacobi_line(k, g, self.PTS, s_max))
-                assert len(members) == s_max + 1
-                for s, v in enumerate(members):
-                    p = ZernikeParams(s + max(-k, 0), s + max(k, 0), g)
-                    assert self._same_bits(v, eval_jacobi(p, self.PTS)), (p, s)
-                for s_min in {min(1, s_max), s_max // 2, s_max}:
-                    tail = list(jacobi_line(k, g, self.PTS, s_max, s_min))
-                    assert len(tail) == s_max + 1 - s_min, (k, s_min)
-                    for s, v in enumerate(tail, s_min):
+        # up to the cap, where gamma = 300 overflows to inf and nan: there
+        # the line raises where eval_jacobi raises, with its message; a line
+        # started at s_min is the full line's members from s_min on
+        for k in range(-INDEX_CAP, INDEX_CAP + 1):
+            s_max = INDEX_CAP - abs(k)
+            members = self._members(k, g, self.PTS, s_max)
+            assert len(members) == s_max + 1
+            for s, v in enumerate(members):
+                p = ZernikeParams(s + max(-k, 0), s + max(k, 0), g)
+                assert self._same(v, p, self.PTS), (p, s)
+            for s_min in {min(1, s_max), s_max // 2, s_max}:
+                tail = self._members(k, g, self.PTS, s_max, s_min)
+                assert len(tail) == s_max + 1 - s_min, (k, s_min)
+                for s, v in enumerate(tail, s_min):
+                    if isinstance(v, str):
+                        assert v == members[s], (k, s_min, s)
+                    else:
                         assert self._same_bits(v, members[s]), (k, s_min, s)
+
+    def test_line_names_its_first_non_finite_point(self, monkeypatch):
+        # at gamma = 300 both lines first overflow at s = 61, near the rim
+        # only; a line raises at its first non-finite member, naming its
+        # first non-finite point in array order, and a transform line names
+        # its own weighted value, not the shifted member's
+        zs = np.array([0.5, 0.3j, 0.99, -0.7, 1.0, -0.99j])
+        for make, k in ((jacobi_line, 0), (cauchy_closed_line, 1)):
+            with monkeypatch.context() as patch, np.errstate(all="ignore"):
+                patch.setattr(zernike, "_finite", lambda v: v)
+                raw = list(make(k, 300.0, zs, 63))
+            s = next(s for s, v in enumerate(raw) if not np.isfinite(v).all())
+            first = complex(raw[s][~np.isfinite(raw[s])][0])
+            assert s > 0 and np.isfinite(raw[s][:2]).all()
+            want = re.escape(f"value is not finite: {first.real!r}, {first.imag!r}") + "$"
+            with pytest.raises(NonConvergentError, match=want):
+                list(make(k, 300.0, zs, 63))
 
     def test_scalar_members_match_eval_jacobi(self):
         for g in (-0.5, 0.5, 30.0):
