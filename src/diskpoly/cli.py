@@ -16,6 +16,7 @@ import numpy as np
 
 from .cauchy import CAUCHY_ROUTES, MONOMIAL_ROUTES, cauchy_closed_line, cauchy_zernike_closed
 from .errors import DiskPolyError
+from .numerics import _modulus
 from .report import _f17, serialize
 from .suites import DEFAULT_GAMMAS, DEFAULT_SEED, SUITE_NAMES, run_suite
 from .zernike import MAX_NODES, ROUTES, ZernikeParams, _check_indices, eval_route, jacobi_line
@@ -80,7 +81,7 @@ def cmd_eval(ns) -> int:
         values.append(v)
         print(f"{route}, {v.real!r}, {v.imag!r}")
     if every:
-        dev = max((abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]),
+        dev = max((_modulus(a - b) for i, a in enumerate(values) for b in values[i + 1:]),
                   default=0.0)
         print(f"max_pairwise_deviation, {dev!r}")
     return 0
@@ -108,22 +109,6 @@ def cmd_verify(ns) -> int:
 _ROW_SHAPES = {"csv": ("", ",", "\r\n", ""), "json": ("    [", ", ", "]", ",\n")}
 
 
-def _line_member(lines: dict, key, start, last: bool):
-    """The next member of the charge line kept under ``key`` in ``lines``.
-
-    ``start()`` begins the line at its first block's member the first
-    time; after that each call takes the next member, since s rises by one
-    per block along a line.  A line is dropped after its ``last`` member,
-    so only live lines keep their recurrence state.
-    """
-    if key not in lines:
-        lines[key] = start()
-    v = next(lines[key])
-    if last:
-        del lines[key]
-    return v
-
-
 def _table_blocks(ns, params, n_gammas, points, start, sep, end, joiner):
     """Yield the finished text of each table block, one (m, n, gamma)
     block over the whole grid at a time, in a row shape of _ROW_SHAPES.
@@ -135,17 +120,18 @@ def _table_blocks(ns, params, n_gammas, points, start, sep, end, joiner):
     ``zernike.jacobi_line`` and equals ``eval_jacobi``, and its transform
     column from ``cauchy.cauchy_closed_line`` and equals
     ``cauchy_zernike_closed``, bit for bit.  Along a line m rises by one
-    per block, so each line starts at its first block's member, holds
-    only its running recurrence state between blocks, and is dropped
-    after its last block.  An n = 0 block takes its transform column from
-    ``cauchy_zernike_closed``, point by point.  The point cells are
-    formatted once, and a block's text is one "%" call that fills its
-    value cells in with report._f17's "%.17g".  Every cell is an int or
-    such a number, so none holds ",", '"' or "%" and no CSV cell needs
-    quoting.  Each column's route raises NonConvergentError on a
-    non-finite cell, naming the column's first in point order, and the
-    value column is checked first, before the transform column runs: so
-    a block yields no text unless all its cells are finite.
+    per block, so its pair of generators is made at its first block and
+    dropped after its last; a generator runs no code before its first
+    member, so only live lines hold recurrence state.  An n = 0 block
+    takes its transform from ``cauchy_zernike_closed``, point by point,
+    so a line's transforms start at s >= 0.  The point cells are formatted
+    once, and a block's text is one "%" call that fills its value cells
+    in with report._f17's "%.17g".  Every cell is an int or such a
+    number, so none holds ",", '"' or "%" and no CSV cell needs quoting.
+    Each column's route raises NonConvergentError on a non-finite cell,
+    naming the column's first in point order, and the value column is
+    checked first, before the transform column runs: so a block yields
+    no text unless all its cells are finite.
     """
     if not points:
         return
@@ -155,19 +141,17 @@ def _table_blocks(ns, params, n_gammas, points, start, sep, end, joiner):
     last_m = {p.n - p.m: p.m for p in params}  # the largest m on each line
     lines = {}
     for i, p in enumerate(params):
-        k, g, at = p.n - p.m, p.gamma, i % n_gammas
-        m_last = last_m[k]
-        last = p.m == m_last
-        cols = [_line_member(
-            lines, ("value", at, k),
-            lambda: jacobi_line(k, g, zs, min(m_last, m_last + k), min(p.m, p.n)), last)]
-        if ns.with_cauchy and p.n == 0:
-            cols.append(cauchy_zernike_closed(p, zs))
-        elif ns.with_cauchy:
-            cols.append(_line_member(
-                lines, ("transform", at, k),
-                lambda: cauchy_closed_line(k, g, zs, min(m_last, m_last + k - 1),
-                                           min(p.m, p.n - 1)), last))
+        k = p.n - p.m
+        key = (i % n_gammas, k)
+        if key not in lines:
+            m_last = last_m[k]
+            lines[key] = (jacobi_line(k, p.gamma, zs, min(m_last, m_last + k), min(p.m, p.n)),
+                          cauchy_closed_line(k, p.gamma, zs, min(m_last, m_last + k - 1),
+                                             max(min(p.m, p.n - 1), 0)))
+        values, transforms = lines.pop(key) if p.m == last_m[k] else lines[key]
+        cols = [next(values)]
+        if ns.with_cauchy:
+            cols.append(next(transforms) if p.n else cauchy_zernike_closed(p, zs))
         head = f"{start}{p.m}{sep}{p.n}{sep}{_f17(p.gamma)}{sep}"
         template = (joiner if i else "") + head + (joiner + head).join(tails)
         # each row's re and im parts of each column, as interleaved floats

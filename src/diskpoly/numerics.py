@@ -124,6 +124,16 @@ def _finite(v):
     raise NonConvergentError(f"value is not finite: {first.real!r}, {first.imag!r}")
 
 
+def _modulus(v: complex) -> float:
+    """|v|: NaN for a NaN part, inf past the float range.  Complex abs
+    alone raises OverflowError there, and for a NaN part too when an
+    earlier libm call left errno at ERANGE."""
+    try:
+        return abs(v) if v == v else math.nan
+    except OverflowError:
+        return math.inf
+
+
 def _quiet(z):
     """numpy's float errors ignored on an ndarray z, for ``_finite`` to see."""
     return np.errstate(all="ignore") if isinstance(z, np.ndarray) else _NO_ERRSTATE
@@ -317,6 +327,8 @@ def _beta_series_head(a: float, b: float, t0: float) -> float:
     i = 0
     while True:
         term = c * t0 ** (a + i) / (a + i)
+        if not math.isfinite(term):
+            raise NonConvergentError(f"small-t beta expansion term {i} is not finite")
         acc += term
         if abs(term) <= 1e-18 * abs(acc) and i > 2:
             return acc

@@ -30,7 +30,7 @@ from .cauchy import (
     cauchy_zernike_quad,
 )
 from .errors import DiskPolyError, DomainError, NonConvergentError
-from .numerics import _check_count, _check_weight
+from .numerics import _check_count, _check_weight, _modulus
 from .report import INFORMATIONAL, ReportRow, VerifyReport, checked_row, make_report
 from .sampling import Lcg64, disk_points
 from .spectral import (
@@ -59,7 +59,7 @@ _TINY = 1e-250
 
 def normalized_deviation(a: complex, b: complex, s_param: float) -> float:
     """|a - b| over the two-scale denominator described in the module doc."""
-    return abs(a - b) / max(abs(a), abs(b), 0.1 * s_param, _TINY)
+    return _modulus(a - b) / max(_modulus(a), _modulus(b), 0.1 * s_param, _TINY)
 
 
 def _or_nan(func, *args):
@@ -100,7 +100,7 @@ def _contour_grid(max_mn: int, gammas, zs: np.ndarray, *rules):
 def _reference(p: ZernikeParams, pts) -> tuple[list, float]:
     """Explicit-route values at the points, and their largest magnitude S."""
     ref = [_or_nan(eval_explicit, p, z) for z in pts]
-    return ref, max(abs(v) for v in ref)
+    return ref, max(_modulus(v) for v in ref)
 
 
 # ---------------------------------------------------------------- routes
@@ -171,7 +171,7 @@ def suite_cauchy(max_mn: int, gammas, seed: int) -> list[ReportRow]:
         if p.m == 0 or p.n == 0:
             continue
         quad = [_or_nan(cauchy_zernike_quad, p, z) for z in pts]
-        s = max(abs(v) for v in quad)
+        s = max(_modulus(v) for v in quad)
         err = _worst([_or_nan(cauchy_zernike_closed, p, z) for z in pts], quad, s)
         same = "cauchy_shift_closed_vs_quad" if p.n <= p.m else "cauchy_shift_same_pattern"
         rows.append(checked_row(same, params, err, 1e-9))

@@ -458,11 +458,12 @@ def _contour_row(m: int, gamma: float, ns, z: complex | np.ndarray,
 
     One set of passes serves every member.  Every (n, point) entry
     doubles on its own, with the one-member rule's stopping test, so each
-    member's value and error are those of its one-member call.  A member
-    fails on the first of: its prefactor overflows, a pass has a
-    non-finite value at one of its points still moving (the first such
-    point in array order is named), or it is still moving at MAX_NODES;
-    the others go on.
+    member's value and error are those of its one-member call.  All state
+    is (members x points); a doubling covers the sub-rectangle of the
+    members and points still moving.  A member fails on the first of: its
+    prefactor overflows, a pass has a non-finite value at one of its
+    points still moving (the first such point in array order is named),
+    or it is still moving at MAX_NODES; the others go on.
     """
     z = _check_disk(z, strict=True, arrays=True)
     if n_nodes is not None:
@@ -474,14 +475,14 @@ def _contour_row(m: int, gamma: float, ns, z: complex | np.ndarray,
         errors[i] = NonConvergentError(f"contour {what} for (m={m}, n={ns[i]}, "
                                        f"gamma={gamma:g}) at z={complex(zs[j])!r}")
 
-    def drop_non_finite(values, todo, rows, cols, nodes):
+    def drop_non_finite(cur, live, rows, cols, nodes):
         # each member with a non-finite value at a point it still moves on fails
-        finite = np.isfinite(values)
+        finite = np.isfinite(cur)
         if not finite.all():
-            bad = todo & ~finite
+            bad = live & ~finite
             for i in np.flatnonzero(bad.any(axis=1)):
                 fail(rows[i], f"pass at {nodes} nodes is not finite", cols[bad[i].argmax()])
-                todo[i] = False
+                live[i] = False
 
     # the prefactor -(gamma+m+1)_n m! u^-gamma; u**-gamma in Python floats,
     # since numpy's SIMD float pow can differ from libm's in the last bit
@@ -495,43 +496,34 @@ def _contour_row(m: int, gamma: float, ns, z: complex | np.ndarray,
             return errors
     c = [-pochhammer(gamma + m + 1, n) * float(factorial(m)) for n in ns]
     prefs = np.array(c)[:, None] * np.array(upow, float)
-    rows, cols = np.arange(len(ns)), np.arange(zs.size)
     todo = np.ones(prefs.shape, bool)  # the (n, point) entries still moving
 
-    first = _START_NODES if n_nodes is None else n_nodes
-    sums, mods = _pass_sums(m, gamma, ns, zs, first, False, n_nodes is None)
-    values = prefs * (sums / first)
-    drop_non_finite(values, todo, rows, cols, first)
-    if n_nodes is None:
-        n_nodes, last = first, values  # last: each entry's last pass, over rows x cols
-        while live := np.count_nonzero(todo):
-            if live < todo.size:  # drop the members and points that are done
-                keep_r, keep_c = todo.any(axis=1), todo.any(axis=0)
-                values[rows[:, None], cols] = last
-                rows, cols = rows[keep_r], cols[keep_c]
-                sel = np.flatnonzero(keep_r)[:, None], keep_c
-                todo, sums, mods, prefs, last = (
-                    todo[sel], sums[sel], mods[sel], prefs[sel], last[sel])
-            if 2 * n_nodes > MAX_NODES:
-                for i, j in zip(rows, todo.argmax(axis=1)):
-                    fail(i, f"rule still moving at {n_nodes} nodes", cols[j])
-                break
-            n_nodes *= 2
-            new_sums, new_mods = _pass_sums(m, gamma, [ns[i] for i in rows], zs[cols],
-                                            n_nodes, True, True)
-            sums += new_sums
-            mods += new_mods
-            cur = prefs * (sums / n_nodes)
-            drop_non_finite(cur, todo, rows, cols, n_nodes)
-            # np.hypot is libm's hypot, as Python's complex abs is; np.abs is not
-            d = cur - last
-            done = np.hypot(d.real, d.imag) <= np.maximum(
-                _REL_TOL * np.hypot(cur.real, cur.imag),
-                1e-13 * (np.abs(prefs) * (mods / n_nodes)))
-            np.copyto(last, cur, where=todo)
-            todo &= ~done
-        if last is not values:
-            values[rows[:, None], cols] = last
+    adaptive = n_nodes is None
+    n_nodes = _START_NODES if adaptive else n_nodes
+    sums, mods = _pass_sums(m, gamma, ns, zs, n_nodes, False, adaptive)
+    values = prefs * (sums / n_nodes)
+    drop_non_finite(values, todo, range(len(ns)), range(zs.size), n_nodes)
+    while adaptive and todo.any():
+        rows, cols = np.flatnonzero(todo.any(axis=1)), np.flatnonzero(todo.any(axis=0))
+        if 2 * n_nodes > MAX_NODES:
+            for i in rows:
+                fail(i, f"rule still moving at {n_nodes} nodes", todo[i].argmax())
+            break
+        n_nodes *= 2
+        sub = rows[:, None], cols
+        new_sums, new_mods = _pass_sums(m, gamma, [ns[i] for i in rows], zs[cols],
+                                        n_nodes, True, True)
+        s, mo = sums[sub] + new_sums, mods[sub] + new_mods
+        sums[sub], mods[sub] = s, mo
+        pref, prev, live = prefs[sub], values[sub], todo[sub]
+        cur = pref * (s / n_nodes)
+        drop_non_finite(cur, live, rows, cols, n_nodes)
+        # np.hypot is libm's hypot, as Python's complex abs is; np.abs is not
+        d = cur - prev
+        done = np.hypot(d.real, d.imag) <= np.maximum(
+            _REL_TOL * np.hypot(cur.real, cur.imag), 1e-13 * (np.abs(pref) * (mo / n_nodes)))
+        values[sub] = np.where(live, cur, prev)
+        todo[sub] = live & ~done
     return [err or _shaped(v, z) for err, v in zip(errors, values)]
 
 

@@ -107,6 +107,19 @@ class TestSuites:
         assert math.isnan(suites._worst([1.0, math.nan], [1.0, 1.0], 1.0))
         assert suites._worst([1.0, 2.0], [1.0, 1.0], 1.0) == 0.5
 
+    def test_nan_or_overflowing_modulus_fails_its_row(self):
+        # CPython's complex abs returns NaN for a NaN part without clearing
+        # errno, so it raises OverflowError while a caught float overflow's
+        # ERANGE is still set; it raises for a finite pair past the float range
+        for a, b in ((0j, math.nan), (1.5e308 + 1.5e308j, 0j)):
+            try:
+                1e200 ** 2
+            except OverflowError:
+                pass
+            dev = normalized_deviation(a, b, 0.0)
+            assert math.isnan(dev), (a, b)
+            assert not checked_row("x", "p", dev, 1e-9).passed
+
     def test_nan_route_value_fails_its_row(self, monkeypatch):
         # NaN at the second of the member's points, after a finite deviation
         calls = []

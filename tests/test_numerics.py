@@ -346,6 +346,13 @@ class TestIncompleteBeta:
             with pytest.raises(NonConvergentError, match=r"closed=[-\d.e]+ quadrature=[-\d.e]+$"):
                 incomplete_beta(3.0, b + 1, 0.09)
 
+    def test_head_series_stops_at_its_first_non_finite_term(self):
+        # at b = 1e300 the series coefficient overflows to inf at term 2,
+        # where t0^(a+2) underflows to 0, so that term is 0 * inf = NaN
+        with pytest.raises(NonConvergentError,
+                           match="^small-t beta expansion term 2 is not finite$"):
+            numerics._beta_quad_check(3.0, 1e300, 0.09)
+
     def test_large_second_parameter_keeps_its_bits(self):
         want = {1.0: "0x1.db359b42662c1p-13", 10.0: "0x1.0186c92197ab1p-13",
                 1e2: "0x1.f80a7fa039aa6p-20", 1e3: "0x1.113c48dccd0fep-29",

@@ -759,6 +759,42 @@ class TestContourRow:
             row = self._assert_row(2, 0.5, np.zeros((0, 3), complex), 4, n_nodes)
             assert all(v.shape == (0, 3) for v in row)
 
+    def test_mixed_row_matches_scalar_calls(self, monkeypatch):
+        # at 256 nodes member n = 0 has settled and n = 1..8 are still
+        # moving, so the row doubles on sub-rectangles of its members and
+        # points; each entry is still the scalar call's value, and each
+        # failing member has the error of its first failing point
+        monkeypatch.setattr(zernike, "MAX_NODES", 256)
+        row = contour_row(2, 2.5, np.array(self.CONTOUR_PTS), 8)
+        assert [isinstance(v, NonConvergentError) for v in row] == [False] + [True] * 8
+        for n, got in enumerate(row):
+            want = [self._one_member(ZernikeParams(2, n, 2.5), z, None)
+                    for z in self.CONTOUR_PTS]
+            errors = [str(w) for w in want if isinstance(w, NonConvergentError)]
+            if errors:
+                assert str(got) == errors[0], n
+            else:
+                assert got.tobytes() == np.array(want).tobytes(), n
+
+    def test_member_failing_on_a_doubling_keeps_its_error(self, monkeypatch):
+        # a NaN in member n = 1's 128-node pass at the second point: that
+        # member fails there and stays failed, and the others keep their bits
+        pass_sums = zernike._pass_sums
+
+        def nan_at_128(m, gamma, ns, zs, n_nodes, odd, mods):
+            sums, moduli = pass_sums(m, gamma, ns, zs, n_nodes, odd, mods)
+            if n_nodes == 128:
+                sums[list(ns).index(1), 1] = np.nan
+            return sums, moduli
+
+        z = np.array(self.CONTOUR_PTS)
+        want = contour_row(2, 0.5, z, 4)
+        monkeypatch.setattr(zernike, "_pass_sums", nan_at_128)
+        row = contour_row(2, 0.5, z, 4)
+        assert str(row[1]) == ("contour pass at 128 nodes is not finite for "
+                               f"(m=2, n=1, gamma=0.5) at z={complex(z[1])!r}")
+        assert all(row[n].tobytes() == want[n].tobytes() for n in (0, 2, 3, 4))
+
     @pytest.mark.parametrize("n_nodes", [None, 64], ids=["adaptive", "fixed"])
     def test_failing_members_keep_their_errors(self, n_nodes):
         # At (64, n), gamma = 1000, a pass overflows at 0.3+0.2i from n = 9
