@@ -338,6 +338,24 @@ def _beta_series_head(a: float, b: float, t0: float) -> float:
         i += 1
 
 
+# 32 keys: a cauchy suite gamma visits 20, |z|^2 and 1 - |z|^2 at 10 points
+@lru_cache(maxsize=32)
+def _beta_panels(x: float, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes t, 1 - t and widths of the panels that ``_beta_quad_check``
+    lays over [x 2^-K, x], as read-only arrays shared by every caller."""
+    half = 0.5 * (gauss_legendre(32)[0] + 1)
+    # panels graded toward x as well; depth grows as x -> 1 so the last
+    # panel stays short relative to its distance from the t=1 branch point
+    depth = max(7, int(math.ceil(math.log2(max(x / (1 - x), 1.0)))) + 4)
+    pts = ([x * 2.0**k for k in range(-K, 0)]                    # x 2^-K .. x/2
+           + [x - (x / 2) * 2.0**-k for k in range(1, depth + 1)] + [x])
+    lo, width = map(np.array, zip(*[(p, q - p) for p, q in zip(pts, pts[1:]) if q > p]))
+    s = width[:, None] * half
+    t, omt = lo[:, None] + s, (1 - lo)[:, None] - s
+    t.flags.writeable = omt.flags.writeable = width.flags.writeable = False
+    return t, omt, width
+
+
 def _beta_quad_check(a: float, b: float, x: float) -> float:
     """Quadrature value of int_0^x t^(a-1)(1-t)^(b-1) dt.
 
@@ -350,21 +368,14 @@ def _beta_quad_check(a: float, b: float, x: float) -> float:
     array.  1 - t is taken as (1 - lo) - s for the node t = lo + s of the
     panel starting at lo, where 1 - lo is exact for lo >= 1/2: near the
     rim, 1 - t itself would keep little more than the rounding error of t.
+    The panels depend only on (x, K), so ``_beta_panels`` builds them once
+    per pair, and a call pays only for the head and the integrand.
     """
-    nodes, weights = gauss_legendre(32)
-    half = 0.5 * (nodes + 1)
-
     K = max(8, math.ceil(math.log2(max(abs(b - 1) * x, 1.0))) + 2)
     head = _beta_series_head(a, b, x * 2.0**-K)
-    # panels graded toward x as well; depth grows as x -> 1 so the last
-    # panel stays short relative to its distance from the t=1 branch point
-    depth = max(7, int(math.ceil(math.log2(max(x / (1 - x), 1.0)))) + 4)
-    pts = ([x * 2.0**k for k in range(-K, 0)]                    # x 2^-K .. x/2
-           + [x - (x / 2) * 2.0**-k for k in range(1, depth + 1)] + [x])
-    lo, width = map(np.array, zip(*[(p, q - p) for p, q in zip(pts, pts[1:]) if q > p]))
-    s = width[:, None] * half
-    vals = (lo[:, None] + s) ** (a - 1) * ((1 - lo)[:, None] - s) ** (b - 1)
-    return head + float(width @ (vals @ weights)) / 2
+    t, omt, width = _beta_panels(x, K)
+    vals = t ** (a - 1) * omt ** (b - 1)
+    return head + float(width @ (vals @ gauss_legendre(32)[1])) / 2
 
 
 def _beta_closed(a: float, b: float, x: float) -> float:

@@ -364,9 +364,6 @@ _PASS_SIZE = 2**18
 # relative to the value, that ends its doubling.
 _START_NODES = 64
 _REL_TOL = 1e-10
-# Largest node count whose powers t^k are cached: 128 entries of at most
-# 2^12 complex128 values each hold at most 8 MiB.
-_POWER_NODES = 2**12
 
 
 @lru_cache(maxsize=32)
@@ -377,23 +374,13 @@ def _roots_of_unity(n_nodes: int) -> np.ndarray:
     return t
 
 
-@lru_cache(maxsize=128)
-def _node_powers(n_nodes: int, odd: bool, k: int) -> np.ndarray:
-    """t^k over the nodes t of the n_nodes rule, or over its odd half, as
-    a read-only array."""
-    t = _roots_of_unity(n_nodes)
-    tk = (t[1::2] if odd else t) ** k
-    tk.flags.writeable = False
-    return tk
-
-
 def _pass_sums(m: int, gamma: float, ns, zs: np.ndarray, n_nodes: int, odd: bool,
                mods: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Node sums of the summand t^(n+1) w^e / (z - t)^(m+1), one row per
-    index n of ns and one column per point of the 1-D array zs, over the
-    nodes t of the n_nodes rule or, with ``odd``, over its odd half; with
-    ``mods``, also the sums of the summand's modulus.  The prefactor is
-    left out.
+    """Node sums of the summand t^(n+1) q, q = w^e / (z - t)^(m+1), one row
+    per index n of ns and one column per point of the 1-D array zs, over
+    the nodes t of the n_nodes rule or, with ``odd``, over its odd half;
+    with ``mods``, also the sums of the summand's modulus.  The prefactor
+    is left out.
 
     The weight power w^e, w = 1 - t conj(z), e = gamma + m, is taken one of
     two ways.  For an integer e it is numpy's complex ``w ** e``, which
@@ -406,17 +393,21 @@ def _pass_sums(m: int, gamma: float, ns, zs: np.ndarray, n_nodes: int, odd: bool
     ``power``, ``arctan2``, ``cos`` and ``sin``, so reruns on one machine
     are byte-identical but the last bit may differ across CPUs.
 
-    The index n enters only through t^(n+1), so each block of points
-    builds w^e and (z - t)^(m+1) once and every n of ns reuses them, one
-    (points x nodes) array at a time.  t^(n+1) comes from ``_node_powers``,
-    which is cached up to _POWER_NODES nodes and rebuilt per block above.
-    A member's summand is the same product in the same order whatever
-    else ns holds, so its sums are the same bits in any row.
+    The index n enters only through t^(n+1), and the nodes are roots of
+    unity, so every member's sum is a coefficient of one unscaled inverse
+    DFT of q along the nodes (Trefethen & Weideman, SIAM Review 56, 2014).
+    On the full rule, t_k = w_N^k and the sum for n is coefficient
+    (n + 1) mod N.  On the odd half, t_k = w_N^(2k+1) with M = N/2 nodes,
+    and it is coefficient (n + 1) mod M times w_N^(n+1).  Each block of
+    points takes one FFT, whatever the number of members, and the FFT
+    treats each point on its own, so a member's sums are the same bits
+    in any row and any block.  Since |t| = 1, every member's modulus sum
+    is sum |q|.
     """
-    t = _roots_of_unity(n_nodes)
-    if odd:
-        t = t[1::2]
-    power = _node_powers if n_nodes <= _POWER_NODES else _node_powers.__wrapped__
+    roots = _roots_of_unity(n_nodes)
+    t = roots[1::2] if odd else roots
+    cols = [(n + 1) % len(t) for n in ns]
+    turn = roots[[(n + 1) % n_nodes for n in ns], None]  # w_N^(n+1), for the odd half
     sums = np.empty((len(ns), len(zs)), complex)
     moduli = np.empty((len(ns), len(zs))) if mods else None
     e = gamma + m
@@ -433,12 +424,19 @@ def _pass_sums(m: int, gamma: float, ns, zs: np.ndarray, n_nodes: int, odd: bool
             wpow = np.empty_like(w)
             wpow.real = rad * np.cos(arg)
             wpow.imag = rad * np.sin(arg)
-        d = (zc - t) ** (m + 1)
-        for r, n in enumerate(ns):
-            vals = power(n_nodes, odd, n + 1) * wpow / d
-            np.add.reduce(vals, 1, out=sums[r, i:i + step])
-            if mods:
-                np.add.reduce(np.abs(vals), 1, out=moduli[r, i:i + step])
+        q = wpow / (zc - t) ** (m + 1)
+        # np.fft is looked up here, so that importing the package loads no FFT
+        coeffs = np.fft.ifft(q, axis=1, norm="forward")[:, cols].T
+        if odd:
+            # times w_N^(n+1) in real products in the textbook order, whose
+            # bits depend neither on the array layout nor on the SIMD level
+            x, y, a, b = coeffs.real, coeffs.imag, turn.real, turn.imag
+            sums.real[:, i:i + step] = x * a - y * b
+            sums.imag[:, i:i + step] = x * b + y * a
+        else:
+            sums[:, i:i + step] = coeffs
+        if mods:
+            moduli[:, i:i + step] = np.add.reduce(np.abs(q), 1)
     return sums, moduli
 
 
@@ -560,7 +558,7 @@ def eval_contour(p: ZernikeParams, z: complex | np.ndarray, n_nodes: int) -> com
     cancellation on |t| = 1, which grows with gamma and |z|, and so is
     (z - t)^-(m+1) when m is much larger than n.  Then the value is
     finite but wrong, with no error: at (2, 2), gamma = 30,
-    z = 0.6885+0.5798i it is 7.7e16 + 1.3e17i for 708612.41 (ROADMAP
+    z = 0.6885+0.5798i it is 6.0e16 + 1.0e17i for 708612.41 (ROADMAP
     items 1 and 5).
     ``z`` may be a scalar or an ndarray, as for ``eval_explicit``;
     ``n_nodes`` lies in [16, MAX_NODES].  This is the one-member case of

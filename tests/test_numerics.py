@@ -247,15 +247,19 @@ class TestIncompleteBeta:
         # a closed form off by 1e-8 relative must trip the 1e-10 check on
         # both the direct branch and the complement split (x > 1/2)
         cases = [(2.0, 1.5, 0.3), (0.3, 0.7, 0.9), (4.5, 0.25, 0.7)]
+        incomplete_beta.cache_clear()  # so the warm-up runs its checks
         for a, b, x in cases:
             incomplete_beta(a, b, x)
         closed = numerics._beta_closed
         monkeypatch.setattr(numerics, "_beta_closed",
                             lambda a, b, x: closed(a, b, x) * (1.0 + 1e-8))
         incomplete_beta.cache_clear()  # the warm-up calls cached the good values
+        hits = numerics._beta_panels.cache_info().hits
         for a, b, x in cases:
             with pytest.raises(NonConvergentError):
                 incomplete_beta(a, b, x)
+        # the checks that tripped read the panels the warm-up cached
+        assert numerics._beta_panels.cache_info().hits == hits + len(cases)
 
     def test_self_check_once_per_argument(self, monkeypatch):
         calls = []
@@ -460,12 +464,14 @@ class TestGaussJacobiRadial:
 
 class TestRulesAreReadOnly:
     """A cached rule's arrays are shared by every caller, so they are
-    locked: a write into the 32-point Legendre weights would otherwise make
-    every later incomplete_beta self-check fail."""
+    locked: a write into the 32-point Legendre weights, or into the
+    self-check's panels, would otherwise make every later incomplete_beta
+    self-check fail."""
 
     @pytest.mark.parametrize("rule", [lambda: gauss_legendre(32),
-                                      lambda: gauss_jacobi_radial(8, 0.5)],
-                             ids=["legendre", "jacobi-radial"])
+                                      lambda: gauss_jacobi_radial(8, 0.5),
+                                      lambda: numerics._beta_panels(0.3, 8)],
+                             ids=["legendre", "jacobi-radial", "beta-panels"])
     def test_arrays_are_read_only(self, rule):
         for array in rule():
             with pytest.raises(ValueError):

@@ -8,6 +8,8 @@ import cmath
 import importlib
 import inspect
 import math
+import os
+import subprocess
 from functools import partial
 from pathlib import Path
 
@@ -54,6 +56,26 @@ def test_sources_parse_at_the_python_floor():
     assert len(files) >= 29
     for path in files:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+# pyenv's interpreters other than the one running the tests: CI's 3.10
+# floor and its newer versions, where the library must still compile
+_PYENV = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+_OTHER_PYTHONS = sorted(p for v in ("3.10", "3.12", "3.13")
+                        for p in _PYENV.glob(f"versions/{v}.*/bin/python"))
+
+
+@pytest.mark.parametrize("python", _OTHER_PYTHONS, ids=lambda p: p.parent.parent.name)
+def test_sources_compile_under_other_pythons(python):
+    # the real parser of each version, where the ast check above is only
+    # best-effort; compile() in memory writes no .pyc
+    root = Path(__file__).resolve().parent.parent
+    files = sorted(str(p) for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
+    code = ("import sys\nfor f in sys.argv[1:]:\n"
+            "    with open(f, encoding='utf-8') as fh:\n        compile(fh.read(), f, 'exec')")
+    proc = subprocess.run([str(python), "-I", "-c", code, *files], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("call, error", [

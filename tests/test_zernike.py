@@ -752,6 +752,18 @@ class TestContourRow:
                 for n_nodes in (None, 512):
                     self._assert_row(m, g, np.array(pts), 8, n_nodes)
 
+    @pytest.mark.parametrize("m", [0, 20])
+    def test_cap_row_equals_scalar_calls(self, m):
+        # n + 1 reaches 65, past the 64 nodes of the first pass and the 64
+        # odd nodes of the second, so their coefficients wrap around
+        zs = self.CONTOUR_PTS[:3]
+        for n_nodes in (None, 512):
+            row = contour_row(m, 0.5, np.array(zs), INDEX_CAP, n_nodes)
+            for n, got in enumerate(row):
+                want = [self._one_member(ZernikeParams(m, n, 0.5), z, n_nodes) for z in zs]
+                assert not isinstance(got, NonConvergentError), (m, n, n_nodes)
+                assert got.tobytes() == np.array(want).tobytes(), (m, n, n_nodes)
+
     def test_shapes(self):
         for n_nodes in (None, 128):
             self._assert_row(2, 0.5, 0.3 - 0.2j, 4, n_nodes)
@@ -828,9 +840,10 @@ class TestContourRow:
 
 
 class TestContourKernel:
-    """The node sum against the one-line summand that numpy evaluates with
-    its complex pow: bit for bit where gamma + m is an integer, within a few
-    (gamma + m) ulps of libm cpow, relative to the L1 scale, elsewhere."""
+    """The node sum against exact arithmetic where gamma + m is an integer,
+    and elsewhere against the one-line summand that numpy evaluates with
+    its complex pow, within a few (gamma + m) ulps of libm cpow, relative
+    to the L1 scale."""
 
     PTS = disk_points(DEFAULT_SEED + 2, 8, 0.8)  # the contour suite's points
 
@@ -842,24 +855,51 @@ class TestContourKernel:
         vals = tn * (1 - t * zc.conj()) ** (g + m) / (zc - t) ** (m + 1)
         return vals.sum(axis=1), np.abs(vals).sum(axis=1)
 
+    @staticmethod
+    def _exact_rule_sums(q, n_nodes, odd, ns):
+        """Sums over the nodes t_k of q_k t_k^(n+1), one row per n of ns,
+        and of |q_k|, for the float summand q (points x nodes), in 40
+        digits with exact roots of unity: the rule the node sum computes."""
+        mpmath = pytest.importorskip("mpmath")
+        ks = range(1, n_nodes, 2) if odd else range(n_nodes)
+        sums, l1 = np.empty((len(ns), len(q)), complex), np.empty(len(q))
+        with mpmath.workdps(40):
+            roots = [mpmath.expjpi(mpmath.mpf(2 * j) / n_nodes) for j in range(n_nodes)]
+            for i, row in enumerate(q.tolist()):
+                qs = [mpmath.mpc(v.real, v.imag) for v in row]
+                sums[:, i] = [complex(mpmath.fdot((roots[k * (n + 1) % n_nodes], v)
+                                                  for k, v in zip(ks, qs))) for n in ns]
+                l1[i] = mpmath.fsum(abs(v) for v in qs)
+        return sums, l1
+
     @pytest.mark.parametrize("n_nodes", [64, 512])
     @pytest.mark.parametrize("g", [-0.9, -0.5, 0.0, 0.37, 1.0, 2.5, 30.5])
     def test_matches_pow_summand(self, g, n_nodes):
-        # one pass serves the row n = 0..8; each row of its sums is checked
+        # one pass serves a row; each row of its sums is checked
         zs = np.array(self.PTS)
         t = zernike._roots_of_unity(n_nodes)
         for m in range(9):
+            e = g + m
+            if e.is_integer():
+                # both passes of n_nodes summands, the full rule and the odd
+                # half of twice as many nodes; at 64, n + 1 = 64 and 65
+                # alias onto coefficients 0 and 1
+                ns = (0, 31, 63, 64)
+                for odd in (False, True):
+                    rule = 2 * n_nodes if odd else n_nodes
+                    nodes, zc = _pass_nodes(rule, odd), zs[:, None]
+                    q = (1 - nodes * zc.conj()) ** e / (zc - nodes) ** (m + 1)
+                    sums, mods = zernike._pass_sums(m, g, ns, zs, rule, odd, True)
+                    want, l1 = self._exact_rule_sums(q, rule, odd, ns)
+                    assert np.all(np.abs(sums - want) <= 2 * 2.0**-52 * l1), (m, g, odd)
+                    assert np.all(np.abs(mods - l1) <= 2 * 2.0**-52 * l1), (m, g, odd)
+                continue
             sums, mods = zernike._pass_sums(m, g, range(9), zs, n_nodes, False, True)
             for n in range(9):
                 want_sums, want_mods = self._pow_summand_sums(ZernikeParams(m, n, g), zs, t)
-                e = g + m
-                if e.is_integer():
-                    assert sums[n].tobytes() == want_sums.tobytes(), (m, n, g)
-                    assert mods[n].tobytes() == want_mods.tobytes(), (m, n, g)
-                else:
-                    tol = 64 * max(abs(e), 1) * 2.0**-52 * want_mods
-                    assert np.all(np.abs(sums[n] - want_sums) <= tol), (m, n, g)
-                    assert np.all(np.abs(mods[n] - want_mods) <= tol), (m, n, g)
+                tol = 64 * max(abs(e), 1) * 2.0**-52 * want_mods
+                assert np.all(np.abs(sums[n] - want_sums) <= tol), (m, n, g)
+                assert np.all(np.abs(mods[n] - want_mods) <= tol), (m, n, g)
 
     def test_row_sums_independent_of_row_and_blocks(self, monkeypatch):
         # a member's sums are the same bytes alone, in a row, without the
@@ -884,23 +924,6 @@ class TestContourKernel:
         whole = member_sums()
         monkeypatch.setattr(zernike, "_PASS_SIZE", 1024)
         assert member_sums() == whole
-
-    def test_node_powers_read_only(self):
-        for odd in (False, True):
-            tk = zernike._node_powers(128, odd, 3)
-            assert tk.tobytes() == (_pass_nodes(128, odd) ** 3).tobytes()
-            with pytest.raises(ValueError, match="read-only"):
-                tk[0] = 0
-
-    def test_powers_beyond_cache_bound_equal(self, monkeypatch):
-        # above _POWER_NODES the powers are rebuilt per block, not cached
-        p = ZernikeParams(2, 3, 0.37)
-        zs = np.array(self.PTS[:3])
-        want = eval_contour(p, zs, 1024)
-        monkeypatch.setattr(zernike, "_POWER_NODES", 512)
-        zernike._node_powers.cache_clear()
-        assert eval_contour(p, zs, 1024).tobytes() == want.tobytes()
-        assert zernike._node_powers.cache_info().currsize == 0
 
 
 class TestRodriguesExpr:
